@@ -551,7 +551,7 @@ pub fn fig14(opts: &ReproOptions) -> String {
             / (secs * model.cores as f64);
         let mem_series = result.metrics.time_series(names::AP_APE_MEM_MB).cloned();
         let (mem_avg, mem_max) = match (system, mem_series) {
-            (System::ApeCache, Some(s)) => (s.time_weighted_mean(), s.max()),
+            (System::ApeCache, Some(s)) => (s.mean(), s.max()),
             // The regular AP runs no APE components.
             _ => (0.0, 0.0),
         };

@@ -23,7 +23,7 @@
 use std::fmt::Write as _;
 
 use ape_appdag::DummyAppConfig;
-use apecache::{run_system_sharded, System};
+use apecache::{build_sharded, collect, System};
 
 use crate::experiments::{base_config, replica_jobs, ReproOptions};
 
@@ -75,7 +75,9 @@ pub fn profile(opts: &ReproOptions) -> String {
         PROFILE_APPS,
     );
     config.profiler = true;
-    let sharded = run_system_sharded(&config, 4, opts.duration());
+    let mut bed = build_sharded(&config, 4);
+    bed.world.run_for(opts.duration());
+    let sharded = collect(config.system, &mut bed);
     let report = &sharded.profile;
     let _ = writeln!(
         out,

@@ -12,7 +12,9 @@
 //! bench asserts all four [`Fingerprint`]s identical before reporting
 //! anything: the quality comparison is between provably-identical
 //! simulations. At 64+ APs the cooperative grid must beat the isolated
-//! one on AP-layer hit ratio, or the bench panics.
+//! one on AP-layer hit ratio, or the bench panics. A full run also gates
+//! host cost: nanoseconds per event at 256 APs must stay within
+//! [`COST_GROWTH_BOUND`] of the 16-AP grid's (see [`cost_per_event`]).
 //!
 //! Results go to `BENCH_scale.json` at the repo root; `EXPERIMENTS.md`
 //! tracks the trajectory. The sweep itself is deterministic in `--seed`;
@@ -54,6 +56,16 @@ const SIM_SECS_QUICK: u64 = 150;
 /// cooperation — stay relevant for the whole run instead of vanishing
 /// once every AP has absorbed the hot set.
 const AP_CACHE_CAPACITY: u64 = 400_000;
+
+/// Grid sizes whose host cost per event a full run compares.
+const COST_GRIDS: [usize; 2] = [16, 256];
+
+/// Largest allowed ratio of host cost per event between the two
+/// [`COST_GRIDS`]: per-event work must not grow with the grid.
+const COST_GROWTH_BOUND: f64 = 1.3;
+
+/// Simulated chunk the cost measurement alternates the two grids on.
+const COST_CHUNK_SECS: u64 = 30;
 
 /// Tie-break-perturbation key for the per-cell invariance assert.
 const TIE_KEY: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -116,7 +128,7 @@ fn run_once(
     let t = Instant::now();
     top.world.run_for(sim);
     let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-    let fetches = top.world.metrics_merged().counter(names::CLIENT_FETCHES);
+    let fetches = top.world.metrics().counter(names::CLIENT_FETCHES);
     (top.world.fingerprint(), fetches, wall_ms)
 }
 
@@ -188,13 +200,46 @@ fn run_cell(
     }
 }
 
+/// Host nanoseconds per event of the two [`COST_GRIDS`], pooled over every
+/// roam rate × cooperation mode. Each pair of grids runs in alternating
+/// [`COST_CHUNK_SECS`] chunks of simulated time, so a drift in host speed
+/// (contention for shared CPU caches can swing it by ±20 % over tens of
+/// seconds) hits both grids alike instead of whichever ran second.
+fn cost_per_event(roam_sweep: &[(&'static str, f64)], sim: SimDuration, seed: u64) -> [f64; 2] {
+    let chunk = SimDuration::from_secs(COST_CHUNK_SECS);
+    let (mut host_s, mut events) = ([0.0f64; 2], [0u64; 2]);
+    for &(_, roam) in roam_sweep {
+        for cooperative in [true, false] {
+            let mut grids = COST_GRIDS
+                .map(|aps| build_topology_sharded(&cell_config(aps, roam, cooperative, seed), 1));
+            for _ in 0..sim.div_floor(chunk) {
+                for (grid, host) in grids.iter_mut().zip(&mut host_s) {
+                    let t = Instant::now();
+                    grid.world.run_for(chunk);
+                    *host += t.elapsed().as_secs_f64();
+                }
+            }
+            for (grid, n) in grids.iter().zip(&mut events) {
+                *n += grid.world.events_processed();
+            }
+        }
+    }
+    [0, 1].map(|i| host_s[i] * 1e9 / events[i] as f64)
+}
+
 fn find<'a>(cells: &'a [Cell], aps: usize, roam: &str, cooperative: bool) -> Option<&'a Cell> {
     cells
         .iter()
         .find(|c| c.aps == aps && c.roam == roam && c.cooperative == cooperative)
 }
 
-fn render_json(cells: &[Cell], seed: u64, quick: bool, sim_secs: u64) -> String {
+fn render_json(
+    cells: &[Cell],
+    cost: Option<[f64; 2]>,
+    seed: u64,
+    quick: bool,
+    sim_secs: u64,
+) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"schema\": \"ape-bench/scale/v1\",");
     let _ = writeln!(out, "  \"seed\": {seed},");
@@ -206,6 +251,19 @@ fn render_json(cells: &[Cell], seed: u64, quick: bool, sim_secs: u64) -> String 
         "  \"invariance\": \"each cell fingerprint-asserted identical across \
          1/4 shards, 4 worker threads, and tie-perturbation key {TIE_KEY:#x}\","
     );
+    match cost {
+        Some([small, large]) => {
+            let _ = writeln!(
+                out,
+                "  \"cost_growth\": {{\"aps\": [{}, {}], \"ns_per_event\": [{small:.1}, \
+                 {large:.1}], \"ratio\": {:.3}, \"bound\": {COST_GROWTH_BOUND}}},",
+                COST_GRIDS[0],
+                COST_GRIDS[1],
+                large / small
+            );
+        }
+        None => out.push_str("  \"cost_growth\": null,\n"),
+    }
     out.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
         let _ = write!(
@@ -271,7 +329,20 @@ pub fn bench_scale(opts: &ReproOptions) -> String {
         }
     }
 
-    let json = render_json(&cells, opts.seed, quick, sim_secs);
+    // Per-event host cost must not grow with the grid: key minting, link
+    // lookups and queue operations are meant to be O(1) per event.
+    let cost = (!quick).then(|| cost_per_event(roam_sweep, sim, opts.seed));
+    if let Some([small, large]) = cost {
+        assert!(
+            large <= COST_GROWTH_BOUND * small,
+            "host cost per event grew from {small:.0} ns at {} APs to {large:.0} ns at {} \
+             (bound {COST_GROWTH_BOUND}x)",
+            COST_GRIDS[0],
+            COST_GRIDS[1]
+        );
+    }
+
+    let json = render_json(&cells, cost, opts.seed, quick, sim_secs);
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_scale.json");
     let note = match std::fs::write(&path, &json) {
         Ok(()) => format!("wrote {}", path.display()),
@@ -310,6 +381,16 @@ pub fn bench_scale(opts: &ReproOptions) -> String {
             c.roams,
             c.peer_hits,
             c.wall_ms,
+        );
+    }
+    if let Some([small, large]) = cost {
+        let _ = writeln!(
+            out,
+            "host cost per event: {small:.0} ns at {} APs, {large:.0} ns at {} \
+             ({:.2}x, bound {COST_GROWTH_BOUND}x)",
+            COST_GRIDS[0],
+            COST_GRIDS[1],
+            large / small
         );
     }
     let _ = writeln!(out, "{note}");

@@ -6,7 +6,7 @@
 //!
 //! * **fleet** — [`ape_nodes::FleetNode`] struct-of-arrays populations (8
 //!   sub-fleets per cell) spread over {1, 2, 4, 8} shards of a
-//!   [`ShardedWorld`], with the serving spine on shard 0,
+//!   [`World`], with the serving spine on shard 0,
 //! * **boxed** — the classic one-node-per-client baseline
 //!   ([`ape_nodes::BoxedClientNode`]) on a single shard.
 //!
@@ -28,8 +28,8 @@ use std::time::Instant;
 
 use ape_nodes::{BoxedClientNode, FleetConfig, FleetMsg, FleetNode, FleetOrigin, FleetResponder};
 use ape_proto::names;
-use ape_simnet::{Fingerprint, LinkSpec, ShardedWorld, SimDuration, SimTime};
-use ape_workload::{ZipfConfig, ZipfMode, ZipfSampler};
+use ape_simnet::{Fingerprint, LinkSpec, SimDuration, SimTime, World};
+use ape_workload::ZipfSampler;
 
 use crate::ReproOptions;
 
@@ -96,9 +96,6 @@ fn fleet_config(clients_per_fleet: usize) -> FleetConfig {
         think_mean: THINK_MEAN,
         apps: APPS,
         zipf_exponent: ZIPF_EXPONENT,
-        zipf: ZipfConfig {
-            mode: ZipfMode::Alias,
-        },
         timeout: SimDuration::from_secs(5),
         tick: SimDuration::from_millis(10),
     }
@@ -112,11 +109,11 @@ fn link() -> LinkSpec {
 
 /// Builds a fleet cell: spine on shard 0, `SUB_FLEETS` fleets round-robin
 /// over the client shards.
-fn build_fleet(clients: usize, shards: u32, seed: u64) -> ShardedWorld<FleetMsg> {
-    let mut w: ShardedWorld<FleetMsg> = ShardedWorld::new(seed, shards);
+fn build_fleet(clients: usize, shards: u32, seed: u64) -> World<FleetMsg> {
+    let mut w: World<FleetMsg> = World::with_shards(seed, shards);
     w.enable_profiler();
-    let origin = w.add_node(0, "origin", FleetOrigin::new(SimDuration::from_micros(200)));
-    let responder = w.add_node(
+    let origin = w.add_node_on(0, "origin", FleetOrigin::new(SimDuration::from_micros(200)));
+    let responder = w.add_node_on(
         0,
         "responder",
         FleetResponder::new(origin, HIT_PCT, SimDuration::from_micros(100), seed),
@@ -125,7 +122,7 @@ fn build_fleet(clients: usize, shards: u32, seed: u64) -> ShardedWorld<FleetMsg>
     let per_fleet = clients / SUB_FLEETS as usize;
     for f in 0..SUB_FLEETS {
         let shard = if shards == 1 { 0 } else { 1 + f % (shards - 1) };
-        let fleet = w.add_node(
+        let fleet = w.add_node_on(
             shard,
             format!("fleet{f}"),
             FleetNode::new(fleet_config(per_fleet), responder, f),
@@ -137,25 +134,19 @@ fn build_fleet(clients: usize, shards: u32, seed: u64) -> ShardedWorld<FleetMsg>
 
 /// Builds the boxed baseline cell: the same spine, one node per client,
 /// all on a single shard.
-fn build_boxed(clients: usize, seed: u64) -> ShardedWorld<FleetMsg> {
-    let mut w: ShardedWorld<FleetMsg> = ShardedWorld::new(seed, 1);
+fn build_boxed(clients: usize, seed: u64) -> World<FleetMsg> {
+    let mut w: World<FleetMsg> = World::with_shards(seed, 1);
     w.enable_profiler();
-    let origin = w.add_node(0, "origin", FleetOrigin::new(SimDuration::from_micros(200)));
-    let responder = w.add_node(
+    let origin = w.add_node_on(0, "origin", FleetOrigin::new(SimDuration::from_micros(200)));
+    let responder = w.add_node_on(
         0,
         "responder",
         FleetResponder::new(origin, HIT_PCT, SimDuration::from_micros(100), seed),
     );
     w.connect(responder, origin, link());
-    let zipf = Arc::new(ZipfSampler::with_config(
-        APPS,
-        ZIPF_EXPONENT,
-        ZipfConfig {
-            mode: ZipfMode::Alias,
-        },
-    ));
+    let zipf = Arc::new(ZipfSampler::new(APPS, ZIPF_EXPONENT));
     for i in 0..clients as u32 {
-        let c = w.add_node(
+        let c = w.add_node_on(
             0,
             format!("client{i}"),
             BoxedClientNode::new(
@@ -173,11 +164,11 @@ fn build_boxed(clients: usize, seed: u64) -> ShardedWorld<FleetMsg> {
 
 /// Runs one freshly built world for `sim` and collects its outcome. Only
 /// the run itself is timed; construction is excluded.
-fn run_world(mut w: ShardedWorld<FleetMsg>, sim: SimDuration) -> RunOutcome {
+fn run_world(mut w: World<FleetMsg>, sim: SimDuration) -> RunOutcome {
     let t = Instant::now();
     w.run_until(SimTime::ZERO + sim);
     let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-    let fetches = w.metrics_merged().counter(names::CLIENT_FETCHES);
+    let fetches = w.metrics().counter(names::CLIENT_FETCHES);
     RunOutcome {
         fingerprint: w.fingerprint(),
         events: w.events_processed(),
@@ -200,7 +191,7 @@ fn run_cell(
     shards: u32,
     trials: usize,
     sim: SimDuration,
-    build: impl Fn() -> ShardedWorld<FleetMsg>,
+    build: impl Fn() -> World<FleetMsg>,
 ) -> (Cell, Fingerprint) {
     // Warm-up pass: faults in code paths and grows allocator arenas.
     let warm = run_world(build(), sim);

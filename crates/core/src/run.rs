@@ -16,11 +16,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 use ape_nodes::ClientNode;
-use ape_proto::names;
-use ape_simnet::{Metrics, NodeId, ProfileReport, SimDuration};
+use ape_proto::{names, Msg};
+use ape_simnet::{Metrics, NodeId, ProfileReport, SimDuration, TimeSeries, World};
 
 use crate::system::System;
-use crate::testbed::{build, build_sharded, ShardedTestbed, Testbed, TestbedConfig};
+use crate::testbed::{build, Testbed, TestbedConfig};
 use crate::trace::{Attribution, TraceLog};
 
 /// Raw result of one run: the full metric registry plus merged client
@@ -94,59 +94,33 @@ pub fn run_system(config: &TestbedConfig, duration: SimDuration) -> RunResult {
 
 /// Collects results from an already-run testbed.
 pub fn collect(system: System, bed: &mut Testbed) -> RunResult {
+    collect_world(system, &mut bed.world, &bed.clients)
+}
+
+/// Collects results from an already-run world: client reports, the metric
+/// registries merged across shards, and the trace merged into canonical
+/// order.
+pub(crate) fn collect_world(
+    system: System,
+    world: &mut World<Msg>,
+    clients: &[NodeId],
+) -> RunResult {
     let mut report = ape_nodes::ClientReport::default();
-    for &client in &bed.clients {
-        report.merge(&bed.world.node::<ClientNode>(client).report());
+    for &client in clients {
+        report.merge(&world.node::<ClientNode>(client).report());
     }
-    let trace = bed.world.trace().is_enabled().then(|| {
-        let names: Vec<String> = (0..bed.world.node_count())
-            .map(|i| bed.world.node_name(NodeId::from_raw(i as u32)).to_owned())
+    let trace = world.trace().is_enabled().then(|| {
+        let names: Vec<String> = (0..world.node_count())
+            .map(|i| world.node_name(NodeId::from_raw(i as u32)).to_owned())
             .collect();
-        TraceLog::from_run(names, bed.world.take_trace_events())
+        TraceLog::from_run(names, world.take_trace_events())
     });
     RunResult {
         system,
-        metrics: bed.world.metrics().clone(),
+        metrics: world.metrics().into_owned(),
         report,
         trace,
-        profile: bed.world.profile_report(),
-    }
-}
-
-/// Builds the sharded testbed for `config`, runs it for `duration` over
-/// `shards` shards, and collects results.
-///
-/// The collected measurements are bitwise identical at any shard count
-/// (the sharded engine's invariance contract); they differ from
-/// [`run_system`]'s because the sharded world derives per-node RNG streams
-/// instead of one global stream.
-pub fn run_system_sharded(config: &TestbedConfig, shards: u32, duration: SimDuration) -> RunResult {
-    let mut bed = build_sharded(config, shards);
-    bed.world.run_for(duration);
-    collect_sharded(config.system, &mut bed)
-}
-
-/// Collects results from an already-run sharded testbed, merging per-shard
-/// metric registries and trace buffers in canonical order.
-pub fn collect_sharded(system: System, bed: &mut ShardedTestbed) -> RunResult {
-    let mut report = ape_nodes::ClientReport::default();
-    for &client in &bed.clients {
-        report.merge(&bed.world.node::<ClientNode>(client).report());
-    }
-    let metrics = bed.world.metrics_merged();
-    let events = bed.world.take_trace_events();
-    let trace = (!events.is_empty()).then(|| {
-        let names: Vec<String> = (0..bed.world.node_count())
-            .map(|i| bed.world.node_name(NodeId::from_raw(i as u32)).to_owned())
-            .collect();
-        TraceLog::from_run(names, events)
-    });
-    RunResult {
-        system,
-        metrics,
-        report,
-        trace,
-        profile: bed.world.profile_report(),
+        profile: world.profile_report(),
     }
 }
 
@@ -178,11 +152,8 @@ impl RunResult {
             per_app_latency_ms.insert(name, (mean, p95));
         }
 
-        let cpu = m.time_series(names::AP_CPU).cloned().unwrap_or_default();
-        let mem = m
-            .time_series(names::AP_APE_MEM_MB)
-            .cloned()
-            .unwrap_or_default();
+        let cpu = m.time_series(names::AP_CPU);
+        let mem = m.time_series(names::AP_APE_MEM_MB);
         let attribution = self
             .trace
             .as_ref()
@@ -204,11 +175,12 @@ impl RunResult {
             high_priority_hit_ratio: self.report.high_priority_hit_ratio(),
             executions: self.report.executions,
             failures: self.report.failures,
-            // Time-weighted: CPU/memory are sampled states, not events, so
-            // the average must weight each sample by how long it was held.
-            ap_cpu_mean: cpu.time_weighted_mean(),
-            ap_cpu_max: cpu.max(),
-            ape_mem_mb_max: mem.max(),
+            // Every AP samples its CPU once per simulated second, so equal
+            // sample weights are time weights — also on a grid, where all
+            // APs write one series a few nanoseconds apart.
+            ap_cpu_mean: cpu.map_or(0.0, TimeSeries::mean),
+            ap_cpu_max: cpu.map_or(0.0, TimeSeries::max),
+            ape_mem_mb_max: mem.map_or(0.0, TimeSeries::max),
             attribution,
         }
     }

@@ -8,10 +8,10 @@
 //! (WiFi RTT ≈ 3 ms, AP↔edge ≈ 14 ms, controller ≈ 24 ms, Table I-level
 //! DNS latencies).
 //!
-//! The same assembly can target either a plain [`World`] ([`build`]) or a
-//! sharded one ([`build_sharded`]): node ids, link specs and construction
-//! order are identical in both, with the serving/DNS spine living on shard
-//! 0 and the client population spread round-robin over shards `1..N`.
+//! The world may be split into shards ([`build_sharded`]): node ids, link
+//! specs and construction order are identical at any shard count, with the
+//! serving/DNS spine living on shard 0 and the client population spread
+//! round-robin over shards `1..N`; results are bitwise identical too.
 
 use ape_appdag::AppSpec;
 use ape_dnswire::DomainName;
@@ -22,8 +22,7 @@ use ape_nodes::{
 };
 use ape_proto::{IpMap, Msg};
 use ape_simnet::{
-    FaultPlan, LinkSpec, MetricsConfig, Node, NodeId, ShardedWorld, SimDuration, SimRng,
-    TraceConfig, World,
+    FaultPlan, LinkSpec, MetricsConfig, NodeId, SimDuration, SimRng, TraceConfig, World,
 };
 use ape_workload::{generate_schedule, Execution, ScheduleConfig};
 
@@ -77,9 +76,9 @@ pub struct TestbedConfig {
     pub seed: u64,
     /// Schedule-perturbation key for the race detector: when set, the
     /// world's same-timestamp tie-breaks follow a seeded permutation
-    /// instead of FIFO order (see
+    /// instead of canonical key order (see
     /// [`World::set_tie_perturbation`](ape_simnet::World::set_tie_perturbation)).
-    /// `None` — the default — is the production FIFO order.
+    /// `None` — the default — is the production order.
     pub tie_perturbation: Option<u64>,
 }
 
@@ -145,38 +144,6 @@ impl std::fmt::Debug for Testbed {
     }
 }
 
-/// A testbed assembled into a [`ShardedWorld`]: same node set, ids and
-/// links as [`Testbed`], with the spine on shard 0 and clients spread over
-/// the client shards.
-pub struct ShardedTestbed {
-    /// The simulated deployment, partitioned for epoch execution.
-    pub world: ShardedWorld<Msg>,
-    /// Client device nodes.
-    pub clients: Vec<NodeId>,
-    /// The WiFi AP.
-    pub ap: NodeId,
-    /// The edge cache server.
-    pub edge: NodeId,
-    /// The origin server.
-    pub origin: NodeId,
-    /// The local DNS resolver.
-    pub ldns: NodeId,
-    /// The Wi-Cache controller, when deployed.
-    pub controller: Option<NodeId>,
-    /// The schedule that was installed across clients.
-    pub schedule: Vec<Execution>,
-}
-
-impl std::fmt::Debug for ShardedTestbed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedTestbed")
-            .field("shards", &self.world.shard_count())
-            .field("clients", &self.clients.len())
-            .field("schedule_len", &self.schedule.len())
-            .finish()
-    }
-}
-
 /// Suffix of the per-domain CDN aliases (mirroring
 /// `www.apple.com → www.apple.com.edgekey.net`).
 pub(crate) const CDN_SUFFIX: &str = "edgekey.example";
@@ -187,77 +154,19 @@ pub(crate) const CDN_A_TTL: u32 = 60;
 /// TTL of the site CNAME records (seconds).
 pub(crate) const CNAME_TTL: u32 = 300;
 
-/// The world operations assembly needs, so [`build`] and [`build_sharded`]
-/// share one construction sequence (identical node/link order is what makes
-/// sharded and plain runs comparable). The multi-AP topology assembler
-/// (`crate::topology`) targets the same trait.
-pub(crate) trait AssembleWorld {
-    /// Adds a node, placing it on `shard` when the backend is sharded.
-    fn add(&mut self, shard: u32, name: String, node: impl Node<Msg> + 'static) -> NodeId;
-    /// Registers a symmetric link.
-    fn link(&mut self, a: NodeId, b: NodeId, spec: LinkSpec);
-    /// Nodes added so far.
-    fn count(&self) -> usize;
-    /// Typed mutable access to an added node.
-    fn get_mut<T: 'static>(&mut self, id: NodeId) -> &mut T;
-    /// Applies the config's world-level knobs (perturbation, tracing,
-    /// metrics, profiler, faults).
-    fn configure(&mut self, config: &TestbedConfig);
-}
-
-impl AssembleWorld for World<Msg> {
-    fn add(&mut self, _shard: u32, name: String, node: impl Node<Msg> + 'static) -> NodeId {
-        self.add_node(name, node)
+/// Applies the config's world-level knobs (perturbation, tracing, metrics,
+/// profiler, faults). Shared by the testbed and the multi-AP topology.
+pub(crate) fn configure(world: &mut World<Msg>, config: &TestbedConfig) {
+    if let Some(key) = config.tie_perturbation {
+        world.set_tie_perturbation(key);
     }
-    fn link(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) {
-        self.connect(a, b, spec);
+    world.set_trace_config(config.trace);
+    world.set_metrics_config(config.metrics.clone());
+    if config.profiler {
+        world.enable_profiler();
     }
-    fn count(&self) -> usize {
-        self.node_count()
-    }
-    fn get_mut<T: 'static>(&mut self, id: NodeId) -> &mut T {
-        self.node_mut(id)
-    }
-    fn configure(&mut self, config: &TestbedConfig) {
-        if let Some(key) = config.tie_perturbation {
-            self.set_tie_perturbation(key);
-        }
-        self.set_trace_config(config.trace);
-        self.set_metrics_config(config.metrics.clone());
-        if config.profiler {
-            self.enable_profiler();
-        }
-        if !config.faults.is_empty() {
-            self.set_fault_plan(config.faults.clone());
-        }
-    }
-}
-
-impl AssembleWorld for ShardedWorld<Msg> {
-    fn add(&mut self, shard: u32, name: String, node: impl Node<Msg> + 'static) -> NodeId {
-        self.add_node(shard, name, node)
-    }
-    fn link(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) {
-        self.connect(a, b, spec);
-    }
-    fn count(&self) -> usize {
-        self.node_count()
-    }
-    fn get_mut<T: 'static>(&mut self, id: NodeId) -> &mut T {
-        self.node_mut(id)
-    }
-    fn configure(&mut self, config: &TestbedConfig) {
-        if let Some(key) = config.tie_perturbation {
-            self.set_tie_perturbation(key);
-        }
-        self.set_trace_config(config.trace);
-        self.set_metrics_config(config.metrics.clone());
-        if config.profiler {
-            self.enable_profiler();
-        }
-        if !config.faults.is_empty() {
-            self.set_fault_plan(config.faults.clone());
-        }
+    if !config.faults.is_empty() {
+        world.set_fault_plan(config.faults.clone());
     }
 }
 
@@ -302,8 +211,8 @@ pub(crate) struct SpineIds {
 /// edge and origin addresses into `ip_map`. Both [`assemble`] and the
 /// multi-AP topology assembler start from this sequence, so their spine
 /// node ids line up.
-pub(crate) fn assemble_spine<W: AssembleWorld>(
-    world: &mut W,
+pub(crate) fn assemble_spine(
+    world: &mut World<Msg>,
     config: &TestbedConfig,
     ip_map: &mut IpMap,
 ) -> SpineIds {
@@ -322,16 +231,16 @@ pub(crate) fn assemble_spine<W: AssembleWorld>(
     }
 
     // --- Servers --------------------------------------------------------
-    let origin = world.add(
+    let origin = world.add_node_on(
         0,
-        "origin".into(),
+        "origin",
         OriginNode::new(catalog.clone(), SimDuration::from_micros(500)),
     );
     let mut edge_node = EdgeNode::new(origin, catalog, SimDuration::from_micros(400));
     if config.prewarm_edge {
         edge_node.prewarm();
     }
-    let edge = world.add(0, "edge".into(), edge_node);
+    let edge = world.add_node_on(0, "edge", edge_node);
 
     let edge_ip = ip_map.assign(edge);
     let _origin_ip = ip_map.assign(origin);
@@ -354,7 +263,7 @@ pub(crate) fn assemble_spine<W: AssembleWorld>(
             );
         }
     }
-    let adns_id = world.add(0, "adns".into(), adns);
+    let adns_id = world.add_node_on(0, "adns", adns);
 
     let mut cdn_dns = AuthDnsNode::new(SimDuration::from_micros(300));
     cdn_dns.wildcard(
@@ -364,7 +273,7 @@ pub(crate) fn assemble_spine<W: AssembleWorld>(
             ttl: CDN_A_TTL,
         },
     );
-    let cdn_dns_id = world.add(0, "cdn-dns".into(), cdn_dns);
+    let cdn_dns_id = world.add_node_on(0, "cdn-dns", cdn_dns);
 
     let mut delegations: Vec<(DomainName, NodeId)> =
         vec![("edgekey.example".parse().expect("static name"), cdn_dns_id)];
@@ -376,9 +285,9 @@ pub(crate) fn assemble_spine<W: AssembleWorld>(
             }
         }
     }
-    let ldns = world.add(
+    let ldns = world.add_node_on(
         0,
-        "ldns".into(),
+        "ldns",
         LdnsNode::new(SimDuration::from_micros(200), delegations),
     );
 
@@ -391,15 +300,14 @@ pub(crate) fn assemble_spine<W: AssembleWorld>(
     }
 }
 
-/// Assembles the Fig. 9 testbed into any world backend. The spine (origin,
-/// edge, DNS chain, AP, controller) goes on shard 0; clients round-robin
-/// over the remaining shards. With a plain [`World`] the shard argument is
-/// ignored, so [`build`] and [`build_sharded`] produce the same node ids in
-/// the same order.
-fn assemble<W: AssembleWorld>(world: &mut W, config: &TestbedConfig, shards: u32) -> AssembledIds {
+/// Assembles the Fig. 9 testbed. The spine (origin, edge, DNS chain, AP,
+/// controller) goes on shard 0; clients round-robin over the remaining
+/// shards. Node ids follow construction order alone, so they are the same
+/// at any shard count.
+fn assemble(world: &mut World<Msg>, config: &TestbedConfig, shards: u32) -> AssembledIds {
     assert!(!config.apps.is_empty(), "testbed needs at least one app");
     assert!(config.clients > 0, "testbed needs at least one client");
-    world.configure(config);
+    configure(world, config);
 
     let mut ip_map = IpMap::new();
     let spine = assemble_spine(world, config, &mut ip_map);
@@ -426,20 +334,20 @@ fn assemble<W: AssembleWorld>(world: &mut W, config: &TestbedConfig, shards: u32
 
     // --- Wi-Cache controller ------------------------------------------------
     let (ap, controller) = if config.system == System::WiCache {
-        let controller = world.add(
+        let controller = world.add_node_on(
             0,
-            "wicache-controller".into(),
+            "wicache-controller",
             WiCacheControllerNode::new(SimDuration::from_micros(300)),
         );
         // The AP id is allocated after the controller; assign its address
         // first so the node can be constructed with the link.
         let ap_ip_probe = {
             let mut m = ip_map.clone();
-            m.assign(NodeId::from_raw(world.count() as u32))
+            m.assign(NodeId::from_raw(world.node_count() as u32))
         };
-        let ap = world.add(
+        let ap = world.add_node_on(
             0,
-            "ap".into(),
+            "ap",
             ap_node.with_wicache(WiCacheLink {
                 controller,
                 own_address: ap_ip_probe,
@@ -447,11 +355,11 @@ fn assemble<W: AssembleWorld>(world: &mut W, config: &TestbedConfig, shards: u32
         );
         let ap_ip = ip_map.assign(ap);
         world
-            .get_mut::<WiCacheControllerNode>(controller)
+            .node_mut::<WiCacheControllerNode>(controller)
             .register_ap(ap, ap_ip);
         (ap, Some(controller))
     } else {
-        (world.add(0, "ap".into(), ap_node), None)
+        (world.add_node_on(0, "ap", ap_node), None)
     };
 
     // --- Schedule -------------------------------------------------------------
@@ -483,7 +391,7 @@ fn assemble<W: AssembleWorld>(world: &mut W, config: &TestbedConfig, shards: u32
         client_config.lookup_mode = config.lookup_mode;
         client_config.prefetch_hints = config.prefetch_hints;
         let node = ClientNode::new(client_config, config.apps.clone(), share);
-        clients.push(world.add(client_shard(i, shards), format!("client{i}"), node));
+        clients.push(world.add_node_on(client_shard(i, shards), format!("client{i}"), node));
     }
 
     // --- Links (Fig. 9 distances) ------------------------------------------------
@@ -524,21 +432,21 @@ fn assemble<W: AssembleWorld>(world: &mut W, config: &TestbedConfig, shards: u32
     let edge_origin = LinkSpec::from_rtt(8, SimDuration::from_millis(24))
         .jitter_mean(SimDuration::from_millis(1));
 
-    world.link(ap, ldns, ap_ldns);
-    world.link(ldns, adns_id, ldns_adns);
-    world.link(ldns, cdn_dns_id, ldns_cdn);
-    world.link(ap, edge, ap_edge);
-    world.link(edge, origin, edge_origin);
+    world.connect(ap, ldns, ap_ldns);
+    world.connect(ldns, adns_id, ldns_adns);
+    world.connect(ldns, cdn_dns_id, ldns_cdn);
+    world.connect(ap, edge, ap_edge);
+    world.connect(edge, origin, edge_origin);
     for &client in &clients {
-        world.link(client, ap, wifi);
-        world.link(client, edge, client_edge);
-        world.link(client, ldns, client_ldns);
+        world.connect(client, ap, wifi);
+        world.connect(client, edge, client_edge);
+        world.connect(client, ldns, client_ldns);
         if let Some(controller) = controller {
-            world.link(client, controller, client_controller);
+            world.connect(client, controller, client_controller);
         }
     }
     if let Some(controller) = controller {
-        world.link(ap, controller, controller_link);
+        world.connect(ap, controller, controller_link);
     }
 
     AssembledIds {
@@ -552,43 +460,29 @@ fn assemble<W: AssembleWorld>(world: &mut W, config: &TestbedConfig, shards: u32
     }
 }
 
-/// Builds the world for `config`.
+/// Builds the world for `config` on one shard.
 ///
 /// # Panics
 ///
 /// Panics if the config has no apps or zero clients.
 pub fn build(config: &TestbedConfig) -> Testbed {
-    let mut world = World::new(config.seed);
-    let ids = assemble(&mut world, config, 1);
-    Testbed {
-        world,
-        clients: ids.clients,
-        ap: ids.ap,
-        edge: ids.edge,
-        origin: ids.origin,
-        ldns: ids.ldns,
-        controller: ids.controller,
-        schedule: ids.schedule,
-    }
+    build_sharded(config, 1)
 }
 
-/// Builds the same testbed into a [`ShardedWorld`] with `shards` shards.
+/// Builds the same testbed split over `shards` shards.
 ///
-/// Node construction order — and therefore every [`NodeId`] — matches
-/// [`build`] exactly; only the shard placement differs. The sharded world's
-/// own determinism contract applies: results are bitwise identical at any
-/// shard count (enforced by `tests/shard_determinism.rs`), though they
-/// differ from plain-[`World`] runs because the sharded engine derives
-/// per-node RNG streams instead of one global stream.
+/// Node construction order — and therefore every [`NodeId`] — is the same
+/// at any shard count; only the shard placement differs. Results are
+/// bitwise identical at any shard count (enforced by
+/// `tests/shard_determinism.rs`).
 ///
 /// # Panics
 ///
 /// Panics if the config has no apps or zero clients, or if `shards` is 0.
-pub fn build_sharded(config: &TestbedConfig, shards: u32) -> ShardedTestbed {
-    assert!(shards > 0, "need at least one shard");
-    let mut world = ShardedWorld::new(config.seed, shards);
+pub fn build_sharded(config: &TestbedConfig, shards: u32) -> Testbed {
+    let mut world = World::with_shards(config.seed, shards);
     let ids = assemble(&mut world, config, shards);
-    ShardedTestbed {
+    Testbed {
         world,
         clients: ids.clients,
         ap: ids.ap,
@@ -649,7 +543,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_build_mirrors_plain_ids_and_places_spine_on_shard_zero() {
+    fn sharded_build_keeps_ids_and_places_spine_on_shard_zero() {
         for system in [System::ApeCache, System::WiCache] {
             let config = TestbedConfig::new(system, apps(3));
             let plain = build(&config);

@@ -28,13 +28,12 @@ use ape_nodes::{
     WiCacheLink,
 };
 use ape_proto::{IpMap, Msg};
-use ape_simnet::{LinkSpec, NodeId, ShardedWorld, SimDuration, SimRng, World};
+use ape_simnet::{LinkSpec, NodeId, SimDuration, SimRng, World};
 use ape_workload::{generate_roam_schedule, generate_schedule, Execution, RoamConfig};
 
-use crate::run::RunResult;
+use crate::run::{collect_world, RunResult};
 use crate::system::System;
-use crate::testbed::{assemble_spine, client_shard, AssembleWorld, SpineIds, TestbedConfig};
-use crate::trace::TraceLog;
+use crate::testbed::{assemble_spine, client_shard, configure, SpineIds, TestbedConfig};
 
 /// Seed-mixing constant for per-AP and per-client derived streams
 /// (splitmix64's increment; any odd constant with good avalanche works).
@@ -98,44 +97,12 @@ impl TopologyConfig {
     }
 }
 
-/// A built multi-AP deployment over a plain [`World`].
-pub struct Topology {
-    /// The simulated deployment.
-    pub world: World<Msg>,
-    /// AP nodes, in grid order (index `i` sits at [`grid_pos`]`(i, side)`).
-    pub aps: Vec<NodeId>,
-    /// All client nodes, grouped by home AP (AP `i`'s clients occupy
-    /// indices `i*clients_per_ap .. (i+1)*clients_per_ap`).
-    pub clients: Vec<NodeId>,
-    /// Home-AP grid index of each client.
-    pub client_home: Vec<usize>,
-    /// The edge cache server.
-    pub edge: NodeId,
-    /// The origin server.
-    pub origin: NodeId,
-    /// The local DNS resolver.
-    pub ldns: NodeId,
-    /// The Wi-Cache controller, when deployed.
-    pub controller: Option<NodeId>,
-    /// Total app executions installed across every client.
-    pub scheduled: usize,
-}
-
-impl std::fmt::Debug for Topology {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Topology")
-            .field("aps", &self.aps.len())
-            .field("clients", &self.clients.len())
-            .finish()
-    }
-}
-
-/// A built multi-AP deployment over a [`ShardedWorld`]: same node ids as
-/// [`Topology`], with the spine (servers, DNS, controller, every AP) on
-/// shard 0 and clients round-robin over shards `1..N`.
+/// A built multi-AP deployment: the spine (servers, DNS, controller, every
+/// AP) on shard 0 and clients round-robin over shards `1..N`. Node ids are
+/// the same at any shard count.
 pub struct ShardedTopology {
     /// The simulated deployment, partitioned for epoch execution.
-    pub world: ShardedWorld<Msg>,
+    pub world: World<Msg>,
     /// AP nodes, in grid order.
     pub aps: Vec<NodeId>,
     /// All client nodes, grouped by home AP.
@@ -215,12 +182,12 @@ struct AssembledTopology {
     scheduled: usize,
 }
 
-/// Assembles the multi-AP deployment into any world backend. Spine first
-/// (same sequence as the single-AP testbed), then the controller, then the
-/// AP grid, then per-AP client populations; the plain and sharded builds
-/// therefore agree on every [`NodeId`].
-fn assemble_topology<W: AssembleWorld>(
-    world: &mut W,
+/// Assembles the multi-AP deployment. Spine first (same sequence as the
+/// single-AP testbed), then the controller, then the AP grid, then per-AP
+/// client populations; builds at any shard count therefore agree on every
+/// [`NodeId`].
+fn assemble_topology(
+    world: &mut World<Msg>,
     config: &TopologyConfig,
     shards: u32,
 ) -> AssembledTopology {
@@ -233,7 +200,7 @@ fn assemble_topology<W: AssembleWorld>(
         !config.base.apps.is_empty(),
         "topology needs at least one app"
     );
-    world.configure(&config.base);
+    configure(world, &config.base);
 
     let base = &config.base;
     let mut ip_map = IpMap::new();
@@ -251,9 +218,9 @@ fn assemble_topology<W: AssembleWorld>(
 
     // --- Wi-Cache controller -------------------------------------------
     let controller = (base.system == System::WiCache).then(|| {
-        world.add(
+        world.add_node_on(
             0,
-            "wicache-controller".into(),
+            "wicache-controller",
             WiCacheControllerNode::new(SimDuration::from_micros(300)),
         )
     });
@@ -262,7 +229,7 @@ fn assemble_topology<W: AssembleWorld>(
     // AP ids follow the current node count, so both their NodeIds and
     // their addresses can be fixed before any AP is constructed — every AP
     // then carries the complete AP address map.
-    let ap_base = world.count();
+    let ap_base = world.node_count();
     let ap_id = |i: usize| NodeId::from_raw((ap_base + i) as u32);
     let ap_ips: Vec<_> = (0..config.aps).map(|i| ip_map.assign(ap_id(i))).collect();
 
@@ -290,11 +257,11 @@ fn assemble_topology<W: AssembleWorld>(
         if config.cooperative {
             node = node.with_neighbors(adjacency[i].iter().map(|&j| ap_id(j)).collect());
         }
-        let id = world.add(0, format!("ap{i}"), node);
+        let id = world.add_node_on(0, format!("ap{i}"), node);
         debug_assert_eq!(id, ap_id(i), "AP id prediction out of sync");
         if let Some(controller) = controller {
             world
-                .get_mut::<WiCacheControllerNode>(controller)
+                .node_mut::<WiCacheControllerNode>(controller)
                 .register_ap_at(id, ap_ips[i], grid_pos(i, side));
         }
         aps.push(id);
@@ -358,10 +325,10 @@ fn assemble_topology<W: AssembleWorld>(
             client_config.prefetch_hints = base.prefetch_hints;
             let node =
                 ClientNode::new(client_config, base.apps.clone(), share).with_roam_schedule(stops);
-            let id = world.add(client_shard(g, shards), format!("client{g}"), node);
+            let id = world.add_node_on(client_shard(g, shards), format!("client{g}"), node);
             if let Some(controller) = controller {
                 world
-                    .get_mut::<WiCacheControllerNode>(controller)
+                    .node_mut::<WiCacheControllerNode>(controller)
                     .register_requester_at(id, grid_pos(i, side));
             }
             clients.push(id);
@@ -430,33 +397,33 @@ fn assemble_topology<W: AssembleWorld>(
     );
     let client_controller = lossy(controller_link);
 
-    world.link(ldns, adns, ldns_adns);
-    world.link(ldns, cdn_dns, ldns_cdn);
-    world.link(edge, origin, edge_origin);
+    world.connect(ldns, adns, ldns_adns);
+    world.connect(ldns, cdn_dns, ldns_cdn);
+    world.connect(edge, origin, edge_origin);
     for (i, &ap) in aps.iter().enumerate() {
         let (ap_edge, ap_ldns) = backhaul[i % backhaul.len()];
-        world.link(ap, edge, ap_edge);
-        world.link(ap, ldns, ap_ldns);
+        world.connect(ap, edge, ap_edge);
+        world.connect(ap, ldns, ap_ldns);
         // AP↔AP segments exist regardless of cooperation: roam handoffs
         // travel them even when summary gossip is off.
         for &j in &adjacency[i] {
             if j > i {
-                world.link(ap, ap_id(j), ap_peer);
+                world.connect(ap, ap_id(j), ap_peer);
             }
         }
         if let Some(controller) = controller {
-            world.link(ap, controller, controller_link);
+            world.connect(ap, controller, controller_link);
         }
     }
     for (g, &client) in clients.iter().enumerate() {
-        world.link(client, aps[client_home[g]], wifi);
+        world.connect(client, aps[client_home[g]], wifi);
         for &target in &roam_targets[g] {
-            world.link(client, aps[target], wifi);
+            world.connect(client, aps[target], wifi);
         }
-        world.link(client, edge, client_edge);
-        world.link(client, ldns, client_ldns);
+        world.connect(client, edge, client_edge);
+        world.connect(client, ldns, client_ldns);
         if let Some(controller) = controller {
-            world.link(client, controller, client_controller);
+            world.connect(client, controller, client_controller);
         }
     }
 
@@ -472,38 +439,15 @@ fn assemble_topology<W: AssembleWorld>(
     }
 }
 
-/// Builds the multi-AP world for `config` over a plain [`World`].
+/// Builds the multi-AP world for `config` split over `shards` shards.
+/// Node ids and outputs are bitwise identical at any shard count.
 ///
 /// # Panics
 ///
-/// Panics if the config has no APs, no clients per AP, or no apps.
-pub fn build_topology(config: &TopologyConfig) -> Topology {
-    let mut world = World::new(config.base.seed);
-    let ids = assemble_topology(&mut world, config, 1);
-    Topology {
-        world,
-        aps: ids.aps,
-        clients: ids.clients,
-        client_home: ids.client_home,
-        edge: ids.edge,
-        origin: ids.origin,
-        ldns: ids.ldns,
-        controller: ids.controller,
-        scheduled: ids.scheduled,
-    }
-}
-
-/// Builds the same deployment into a [`ShardedWorld`] with `shards`
-/// shards. Node ids match [`build_topology`] exactly; outputs are bitwise
-/// identical at any shard count under the sharded engine's invariance
-/// contract.
-///
-/// # Panics
-///
-/// Panics if the config is empty (see [`build_topology`]) or `shards` is 0.
+/// Panics if the config has no APs, no clients per AP, or no apps, or if
+/// `shards` is 0.
 pub fn build_topology_sharded(config: &TopologyConfig, shards: u32) -> ShardedTopology {
-    assert!(shards > 0, "need at least one shard");
-    let mut world = ShardedWorld::new(config.base.seed, shards);
+    let mut world = World::with_shards(config.base.seed, shards);
     let ids = assemble_topology(&mut world, config, shards);
     ShardedTopology {
         world,
@@ -518,49 +462,10 @@ pub fn build_topology_sharded(config: &TopologyConfig, shards: u32) -> ShardedTo
     }
 }
 
-/// Collects results from an already-run topology.
-pub fn collect_topology(system: System, top: &mut Topology) -> RunResult {
-    let mut report = ape_nodes::ClientReport::default();
-    for &client in &top.clients {
-        report.merge(&top.world.node::<ClientNode>(client).report());
-    }
-    let trace = top.world.trace().is_enabled().then(|| {
-        let names: Vec<String> = (0..top.world.node_count())
-            .map(|i| top.world.node_name(NodeId::from_raw(i as u32)).to_owned())
-            .collect();
-        TraceLog::from_run(names, top.world.take_trace_events())
-    });
-    RunResult {
-        system,
-        metrics: top.world.metrics().clone(),
-        report,
-        trace,
-        profile: top.world.profile_report(),
-    }
-}
-
-/// Collects results from an already-run sharded topology, merging
-/// per-shard metric registries and trace buffers in canonical order.
+/// Collects results from an already-run topology, merging per-shard
+/// metric registries and trace buffers in canonical order.
 pub fn collect_topology_sharded(system: System, top: &mut ShardedTopology) -> RunResult {
-    let mut report = ape_nodes::ClientReport::default();
-    for &client in &top.clients {
-        report.merge(&top.world.node::<ClientNode>(client).report());
-    }
-    let metrics = top.world.metrics_merged();
-    let events = top.world.take_trace_events();
-    let trace = (!events.is_empty()).then(|| {
-        let names: Vec<String> = (0..top.world.node_count())
-            .map(|i| top.world.node_name(NodeId::from_raw(i as u32)).to_owned())
-            .collect();
-        TraceLog::from_run(names, events)
-    });
-    RunResult {
-        system,
-        metrics,
-        report,
-        trace,
-        profile: top.world.profile_report(),
-    }
+    collect_world(system, &mut top.world, &top.clients)
 }
 
 #[cfg(test)]
@@ -612,7 +517,7 @@ mod tests {
     #[test]
     fn builds_a_grid_with_per_ap_populations() {
         let config = TopologyConfig::new(small_base(System::ApeCache), 4).with_clients_per_ap(2);
-        let top = build_topology(&config);
+        let top = build_topology_sharded(&config, 1);
         assert_eq!(top.aps.len(), 4);
         assert_eq!(top.clients.len(), 8);
         assert_eq!(top.client_home, vec![0, 0, 1, 1, 2, 2, 3, 3]);
@@ -620,12 +525,12 @@ mod tests {
     }
 
     #[test]
-    fn sharded_build_mirrors_plain_ids_and_shard_placement() {
+    fn sharded_build_keeps_ids_and_shard_placement() {
         for system in [System::ApeCache, System::WiCache] {
             let config = TopologyConfig::new(small_base(system), 4)
                 .with_clients_per_ap(2)
                 .with_roam_rate(1.0);
-            let plain = build_topology(&config);
+            let plain = build_topology_sharded(&config, 1);
             let sharded = build_topology_sharded(&config, 4);
             assert_eq!(plain.aps, sharded.aps);
             assert_eq!(plain.clients, sharded.clients);
@@ -642,9 +547,9 @@ mod tests {
     #[test]
     fn single_ap_topology_runs_clean() {
         let config = TopologyConfig::new(small_base(System::ApeCache), 1).with_clients_per_ap(3);
-        let mut top = build_topology(&config);
+        let mut top = build_topology_sharded(&config, 1);
         top.world.run_for(SimDuration::from_mins(3));
-        let mut result = collect_topology(System::ApeCache, &mut top);
+        let mut result = collect_topology_sharded(System::ApeCache, &mut top);
         let s = result.summary();
         assert!(s.executions > 10, "executions {}", s.executions);
         assert_eq!(s.failures, 0);
@@ -652,17 +557,42 @@ mod tests {
     }
 
     #[test]
+    fn summary_cpu_mean_is_the_mean_of_every_ap_sample() {
+        // All APs write one `ap.cpu` series a few nanoseconds apart; the
+        // summary must weigh every sample, not just those next to gaps.
+        let config = TopologyConfig::new(small_base(System::ApeCache), 4).with_clients_per_ap(2);
+        let mut top = build_topology_sharded(&config, 1);
+        top.world.run_for(SimDuration::from_mins(3));
+        let mut result = collect_topology_sharded(System::ApeCache, &mut top);
+        let samples: Vec<f64> = result
+            .metrics
+            .time_series(names::AP_CPU)
+            .expect("APs sample their CPU")
+            .points()
+            .iter()
+            .map(|&(_, v)| v)
+            .collect();
+        assert!(samples.len() >= 4 * 170, "{} samples", samples.len());
+        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+        let reported = result.summary().ap_cpu_mean;
+        assert!(
+            (reported - mean).abs() <= 1e-12 * mean.abs().max(1.0),
+            "summary {reported} vs sample mean {mean}"
+        );
+    }
+
+    #[test]
     fn roaming_clients_roam_and_the_run_stays_clean() {
         let config = TopologyConfig::new(small_base(System::ApeCache), 4)
             .with_clients_per_ap(2)
             .with_roam_rate(2.0);
-        let mut top = build_topology(&config);
+        let mut top = build_topology_sharded(&config, 1);
         top.world.run_for(SimDuration::from_mins(3));
         let roams = top.world.metrics().counter(names::CLIENT_ROAMS);
         assert!(roams > 0, "no client ever roamed");
         let departures = top.world.metrics().counter(names::AP_ROAM_DEPARTURES);
         assert_eq!(roams, departures, "every roam notifies the departed AP");
-        let mut result = collect_topology(System::ApeCache, &mut top);
+        let mut result = collect_topology_sharded(System::ApeCache, &mut top);
         let s = result.summary();
         assert!(s.executions > 10, "executions {}", s.executions);
     }
@@ -670,7 +600,7 @@ mod tests {
     #[test]
     fn cooperative_aps_peer_fetch() {
         let config = TopologyConfig::new(small_base(System::ApeCache), 4).with_clients_per_ap(2);
-        let mut top = build_topology(&config);
+        let mut top = build_topology_sharded(&config, 1);
         top.world.run_for(SimDuration::from_mins(3));
         let fetches = top.world.metrics().counter(names::AP_PEER_FETCHES);
         let hits = top.world.metrics().counter(names::AP_PEER_HITS);
@@ -685,7 +615,7 @@ mod tests {
         let config = TopologyConfig::new(small_base(System::ApeCache), 4)
             .with_clients_per_ap(2)
             .isolated();
-        let mut top = build_topology(&config);
+        let mut top = build_topology_sharded(&config, 1);
         top.world.run_for(SimDuration::from_mins(3));
         assert_eq!(top.world.metrics().counter(names::AP_PEER_FETCHES), 0);
     }
@@ -693,12 +623,12 @@ mod tests {
     #[test]
     fn wicache_topology_tracks_multiple_holders() {
         let config = TopologyConfig::new(small_base(System::WiCache), 4).with_clients_per_ap(2);
-        let mut top = build_topology(&config);
+        let mut top = build_topology_sharded(&config, 1);
         let controller = top.controller.expect("WiCache deploys the controller");
         top.world.run_for(SimDuration::from_mins(3));
         let node = top.world.node::<WiCacheControllerNode>(controller);
         assert!(node.placement_count() > 0, "no placements registered");
-        let mut result = collect_topology(System::WiCache, &mut top);
+        let mut result = collect_topology_sharded(System::WiCache, &mut top);
         assert!(result.summary().executions > 10);
     }
 }

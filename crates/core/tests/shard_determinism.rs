@@ -54,7 +54,7 @@ fn run_at(
     let mut bed = build_sharded(&config(system, perturbation), shards);
     bed.world.enable_shard_oracle();
     bed.world.run_for(SimDuration::from_secs(90));
-    let metrics = bed.world.metrics_merged();
+    let metrics = bed.world.metrics().into_owned();
     let fetches = metrics.counter(names::CLIENT_FETCHES);
     let net = metrics.counter(names::NET_MESSAGES);
     (
@@ -141,7 +141,7 @@ fn run_topology_at(
         top.world.set_threads(threads);
     }
     top.world.run_for(SimDuration::from_secs(75));
-    let metrics = top.world.metrics_merged();
+    let metrics = top.world.metrics().into_owned();
     let fetches = metrics.counter(names::CLIENT_FETCHES);
     let roams = metrics.counter(names::CLIENT_ROAMS);
     let net = metrics.counter(names::NET_MESSAGES);

@@ -1856,13 +1856,10 @@ mod tests {
         bed.world
             .post(bed.probe, bed.ap, dns_cache_query(1, &[url().hash()]));
         bed.world.run_until(SimTime::from_secs(5));
-        let cpu = bed.world.metrics().time_series(names::AP_CPU).unwrap();
+        let metrics = bed.world.metrics();
+        let cpu = metrics.time_series(names::AP_CPU).unwrap();
         assert!(cpu.len() >= 4);
-        let mem = bed
-            .world
-            .metrics()
-            .time_series(names::AP_APE_MEM_MB)
-            .unwrap();
+        let mem = metrics.time_series(names::AP_APE_MEM_MB).unwrap();
         assert!(
             mem.mean() > 3.9,
             "APE code overhead visible: {}",

@@ -23,7 +23,7 @@
 
 use ape_proto::names;
 use ape_simnet::{Context, Message, Node, NodeId, SimDuration, SimTime, TimerToken};
-use ape_workload::{ZipfConfig, ZipfSampler};
+use ape_workload::ZipfSampler;
 use std::sync::Arc;
 
 /// Messages exchanged between fleet clients and the serving spine.
@@ -82,8 +82,6 @@ pub struct FleetConfig {
     pub apps: usize,
     /// Zipf exponent over the app catalog.
     pub zipf_exponent: f64,
-    /// Sampler backend (the scale benches use the O(1) alias table).
-    pub zipf: ZipfConfig,
     /// Give-up deadline for an in-flight fetch.
     pub timeout: SimDuration,
     /// Calendar bucket width; all clients due within one bucket wake on a
@@ -99,7 +97,6 @@ impl Default for FleetConfig {
             think_mean: SimDuration::from_secs(20),
             apps: 64,
             zipf_exponent: 1.0,
-            zipf: ZipfConfig::default(),
             timeout: SimDuration::from_secs(5),
             tick: SimDuration::from_millis(10),
         }
@@ -165,7 +162,7 @@ impl FleetNode {
             "timeout must sit inside the calendar horizon"
         );
         let n = config.clients;
-        let zipf = ZipfSampler::with_config(config.apps, config.zipf_exponent, config.zipf);
+        let zipf = ZipfSampler::new(config.apps, config.zipf_exponent);
         FleetNode {
             responder,
             id_base: u64::from(fleet_index) << 54,
@@ -499,8 +496,7 @@ impl Node<FleetMsg> for FleetOrigin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ape_simnet::{Fingerprint, LinkSpec, ShardedWorld, World};
-    use ape_workload::ZipfMode;
+    use ape_simnet::{Fingerprint, LinkSpec, World};
 
     fn small_config(clients: usize) -> FleetConfig {
         FleetConfig {
@@ -508,9 +504,6 @@ mod tests {
             think_mean: SimDuration::from_millis(200),
             apps: 16,
             zipf_exponent: 1.0,
-            zipf: ZipfConfig {
-                mode: ZipfMode::Alias,
-            },
             timeout: SimDuration::from_secs(2),
             tick: SimDuration::from_millis(10),
         }
@@ -554,13 +547,7 @@ mod tests {
             "responder",
             FleetResponder::new(origin, 60, SimDuration::from_micros(100), 13),
         );
-        let zipf = Arc::new(ZipfSampler::with_config(
-            16,
-            1.0,
-            ZipfConfig {
-                mode: ZipfMode::Alias,
-            },
-        ));
+        let zipf = Arc::new(ZipfSampler::new(16, 1.0));
         w.connect(responder, origin, link());
         for i in 0..100u32 {
             let c = w.add_node(
@@ -581,10 +568,10 @@ mod tests {
         assert!(m.counter(names::CLIENT_CACHE_HITS) > 0);
     }
 
-    fn sharded_cell(shards: u32, fleets: u32) -> ShardedWorld<FleetMsg> {
-        let mut w: ShardedWorld<FleetMsg> = ShardedWorld::new(17, shards);
-        let origin = w.add_node(0, "origin", FleetOrigin::new(SimDuration::from_micros(200)));
-        let responder = w.add_node(
+    fn sharded_cell(shards: u32, fleets: u32) -> World<FleetMsg> {
+        let mut w: World<FleetMsg> = World::with_shards(17, shards);
+        let origin = w.add_node_on(0, "origin", FleetOrigin::new(SimDuration::from_micros(200)));
+        let responder = w.add_node_on(
             0,
             "responder",
             FleetResponder::new(origin, 60, SimDuration::from_micros(100), 17),
@@ -592,7 +579,7 @@ mod tests {
         w.connect(responder, origin, link());
         for f in 0..fleets {
             let shard = if shards == 1 { 0 } else { 1 + f % (shards - 1) };
-            let fleet = w.add_node(
+            let fleet = w.add_node_on(
                 shard,
                 format!("fleet{f}"),
                 FleetNode::new(small_config(125), responder, f),
@@ -605,7 +592,7 @@ mod tests {
     fn run_cell(shards: u32) -> (Fingerprint, u64) {
         let mut w = sharded_cell(shards, 8);
         w.run_until(SimTime::ZERO + SimDuration::from_secs(2));
-        let fetches = w.metrics_merged().counter(names::CLIENT_FETCHES);
+        let fetches = w.metrics().counter(names::CLIENT_FETCHES);
         (w.fingerprint(), fetches)
     }
 

@@ -3,49 +3,40 @@
 //! The simulator's determinism contract says a run's results depend only on
 //! its configuration and seed. One way that contract silently breaks is an
 //! *event-ordering race*: two events scheduled for the same virtual
-//! timestamp whose processing order changes the outcome. FIFO tie-breaking
-//! hides such races — the order is stable, so results are reproducible, but
-//! they encode an accident of scheduling order rather than modelled
-//! behaviour, and any refactor that changes scheduling order shifts the
-//! numbers.
+//! timestamp whose processing order changes the outcome. A fixed
+//! tie-break order hides such races — the order is stable, so results are
+//! reproducible, but they encode an accident of scheduling order rather
+//! than modelled behaviour, and any refactor that changes scheduling order
+//! shifts the numbers.
 //!
 //! [`World::check_determinism`](crate::World::check_determinism) flushes
-//! those races out: it re-runs a scenario several times, each time replacing
-//! the FIFO tie-break with a seeded bijective scramble
-//! ([`mix64`](crate::rng) of the sequence number), so same-timestamp events
-//! pop in a different — but deterministic — permutation per key. Events at
-//! distinct timestamps are never reordered. After each run a
-//! [`Fingerprint`] (metrics digest, trace digest, final clock, events
-//! processed) is taken; any divergence from the unperturbed baseline means
-//! the scenario's results depend on tie-break order.
+//! those races out: it re-runs a scenario several times, each time
+//! replacing the canonical tie-break keys with a seeded bijective scramble
+//! ([`mix64`](crate::rng) of the key), so same-timestamp events pop in a
+//! different — but deterministic — permutation per key. Events at distinct
+//! timestamps are never reordered. After each run a [`Fingerprint`]
+//! (metrics digest, trace digest, final clock, events processed) is taken;
+//! any divergence from the unperturbed baseline means the scenario's
+//! results depend on tie-break order.
 //!
-//! A divergence is not always a bug in the scenario: callbacks that draw
-//! from the shared [`SimRng`](crate::SimRng) consume the stream in
-//! processing order, so reordering ties also reorders their draws. A
-//! tie-heavy scenario whose ties draw randomness can legitimately diverge.
-//! The APE-CACHE testbed keeps continuous per-link jitter on every link
-//! precisely so that message arrivals almost never tie; the detector checks
-//! that the residual ties (e.g. same-node timer collisions) are benign.
-//!
-//! Structural guards shrink that residual class further. Sharded worlds
-//! give every node a private RNG stream, so only *same-node* ties can
-//! couple draws to dispatch order — and each sharded send draws its loss
-//! and jitter from a one-shot stream seeded by the message's *intrinsic
-//! key* (a hash of send instant, sender, receiver and repeat index; see
-//! [`ShardedWorld`](crate::ShardedWorld)), so even same-node ties cannot
-//! couple through send randomness: the draw belongs to the message, not
-//! to whichever tied callback ran first. Each directed link additionally
-//! serializes its arrivals (`link::LinkSerializer`): a nanosecond-exact
-//! collision between two messages on the same `src → dst` pair — the
-//! dominant same-node tie source at city scale, since one callback's
-//! batched sends share a send instant and a jitter distribution — is
-//! bumped to the next free nanosecond, as a serial wire would force
-//! anyway. What remains is the measure-zero case of arrivals over
-//! *different* links (or an arrival and a timer) landing on one node in
-//! the same nanosecond *and* racing through order-sensitive node state;
-//! node implementations keep such state canonical (e.g. the AP's
-//! gossiped-holder map tie-breaks same-instant summaries on node id, not
-//! arrival order).
+//! Structural guards shrink the class of possible races. Every node draws
+//! from a private RNG stream, so only *same-node* ties can couple draws to
+//! dispatch order — and each send draws its loss and jitter from a
+//! one-shot stream seeded by the message's *intrinsic key* (a hash of send
+//! instant, sender, receiver and repeat index; see [`World`](crate::World)),
+//! so even same-node ties cannot couple through send randomness: the draw
+//! belongs to the message, not to whichever tied callback ran first. Each
+//! directed link additionally serializes its arrivals
+//! (`link::LinkSerializer`): a nanosecond-exact collision between two
+//! messages on the same `src → dst` pair — the dominant same-node tie
+//! source at city scale, since one callback's batched sends share a send
+//! instant and a jitter distribution — is bumped to the next free
+//! nanosecond, as a serial wire would force anyway. What remains is the
+//! measure-zero case of arrivals over *different* links (or an arrival and
+//! a timer) landing on one node in the same nanosecond *and* racing
+//! through order-sensitive node state; node implementations keep such
+//! state canonical (e.g. the AP's gossiped-holder map tie-breaks
+//! same-instant summaries on node id, not arrival order).
 
 use std::fmt;
 
@@ -124,7 +115,7 @@ pub struct PerturbedRun {
 /// the unperturbed baseline plus one fingerprint per perturbation key.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeterminismReport {
-    /// Fingerprint of the run with FIFO tie-breaking (the production order).
+    /// Fingerprint of the run in canonical key order (the production order).
     pub baseline: Fingerprint,
     /// Fingerprints of the perturbed re-runs, in key order.
     pub runs: Vec<PerturbedRun>,

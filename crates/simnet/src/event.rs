@@ -38,15 +38,14 @@ pub(crate) enum EventKind<M> {
 #[derive(Debug)]
 pub(crate) struct ScheduledEvent<M> {
     pub at: SimTime,
-    /// Tie-breaker for simultaneous events. Without perturbation this is the
-    /// scheduling sequence number (FIFO among ties) or, in sharded worlds,
-    /// the intrinsic identity key (a hash of the event's place in the
-    /// schedule); under a perturbation key it is a bijective scramble of
-    /// that number, so ties pop in a seeded permutation while
-    /// distinct-timestamp ordering is untouched.
+    /// Tie-breaker for simultaneous events: the event's intrinsic identity
+    /// key (a hash of its place in the schedule, see `InstantKeys` in
+    /// [`crate::world`]) or, under a perturbation key, a bijective scramble
+    /// of it, so ties pop in a seeded permutation while distinct-timestamp
+    /// ordering is untouched.
     ///
     /// The dispatch loop orders on it implicitly (inside the wheel); the
-    /// sharded executor also reads it to stamp trace events with the global
+    /// executor also reads it to stamp trace events with the global
     /// dispatch order.
     pub seq: u64,
     pub kind: EventKind<M>,
@@ -64,9 +63,9 @@ pub const fn event_footprint<M>() -> usize {
 #[derive(Debug)]
 pub(crate) struct EventQueue<M> {
     wheel: TimerWheel<EventKind<M>>,
-    next_seq: u64,
     /// Schedule-perturbation key (see [`World::set_tie_perturbation`]
-    /// (crate::World::set_tie_perturbation)). `None` means FIFO tie-breaks.
+    /// (crate::World::set_tie_perturbation)). `None` means ties pop in
+    /// canonical key order.
     perturbation: Option<u64>,
     /// Optional mirror of every push/pop against the frozen heap
     /// implementation; a divergence panics at the first wrong pop. Items
@@ -78,7 +77,6 @@ impl<M> Default for EventQueue<M> {
     fn default() -> Self {
         EventQueue {
             wheel: TimerWheel::new(),
-            next_seq: 0,
             perturbation: None,
             oracle: None,
         }
@@ -97,10 +95,6 @@ impl<M> EventQueue<M> {
         self.perturbation = key;
     }
 
-    pub fn perturbation(&self) -> Option<u64> {
-        self.perturbation
-    }
-
     /// Mirrors all subsequent pushes and pops against the frozen
     /// [`ReferenceEventQueue`]; every pop asserts both engines agree on
     /// `(at, seq)`. Meant for tests — it doubles queue work.
@@ -114,20 +108,12 @@ impl<M> EventQueue<M> {
         }
     }
 
-    pub fn push(&mut self, at: SimTime, kind: EventKind<M>) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.push_keyed(at, seq, kind);
-    }
-
-    /// Pushes an event under an explicit tie-break key instead of the
-    /// queue-local FIFO counter. The sharded executor uses this with
-    /// intrinsic identity keys (see [`crate::ShardedWorld`]) so
-    /// same-timestamp ordering is a property of the schedule itself,
-    /// identical at any shard count. Keys must be unique per queue
-    /// lifetime; `mix64` being a bijection, perturbation preserves that
-    /// uniqueness.
-    pub fn push_keyed(&mut self, at: SimTime, key: u64, kind: EventKind<M>) {
+    /// Pushes an event under its tie-break key. The executor passes
+    /// intrinsic identity keys (see [`crate::World`]) so same-timestamp
+    /// ordering is a property of the schedule itself, identical at any
+    /// shard count. Keys must be unique per queue lifetime; `mix64` being
+    /// a bijection, perturbation preserves that uniqueness.
+    pub fn push(&mut self, at: SimTime, key: u64, kind: EventKind<M>) {
         let seq = match self.perturbation {
             Some(pert) => mix64(key ^ pert),
             None => key,
@@ -158,10 +144,6 @@ impl<M> EventQueue<M> {
     pub fn len(&self) -> usize {
         self.wheel.len()
     }
-
-    pub fn is_empty(&self) -> bool {
-        self.wheel.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -180,9 +162,9 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.push(SimTime::from_millis(5), deliver(1));
-        q.push(SimTime::from_millis(1), deliver(2));
-        q.push(SimTime::from_millis(3), deliver(3));
+        q.push(SimTime::from_millis(5), 0, deliver(1));
+        q.push(SimTime::from_millis(1), 1, deliver(2));
+        q.push(SimTime::from_millis(3), 2, deliver(3));
         let order: Vec<u64> = std::iter::from_fn(|| q.pop())
             .map(|e| e.at.as_nanos() / 1_000_000)
             .collect();
@@ -190,14 +172,17 @@ mod tests {
     }
 
     #[test]
-    fn simultaneous_events_keep_fifo_order() {
+    fn simultaneous_events_pop_in_key_order() {
         let mut q = EventQueue::new();
         let t = SimTime::from_millis(1);
-        for i in 0..10 {
-            q.push(t, deliver(i));
+        let keys: Vec<u64> = (0..10).map(mix64).collect();
+        for (i, &key) in keys.iter().enumerate() {
+            q.push(t, key, deliver(i as u32));
         }
         let seqs: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| e.seq).collect();
-        assert_eq!(seqs, (0..10).collect::<Vec<u64>>());
+        let mut sorted = keys.clone();
+        sorted.sort_unstable();
+        assert_eq!(seqs, sorted);
     }
 
     #[test]
@@ -207,7 +192,7 @@ mod tests {
             q.set_perturbation(key);
             let t = SimTime::from_millis(1);
             for i in 0..10 {
-                q.push(t, deliver(i));
+                q.push(t, u64::from(i), deliver(i));
             }
             std::iter::from_fn(|| q.pop())
                 .map(|e| match e.kind {
@@ -216,23 +201,23 @@ mod tests {
                 })
                 .collect::<Vec<u64>>()
         };
-        let fifo = run(None);
-        assert_eq!(fifo, (0..10).collect::<Vec<u64>>());
+        let canonical = run(None);
+        assert_eq!(canonical, (0..10).collect::<Vec<u64>>());
         let scrambled = run(Some(0xA5A5));
         assert_eq!(scrambled, run(Some(0xA5A5)), "same key, same permutation");
-        assert_ne!(scrambled, fifo, "this key should reorder the ties");
+        assert_ne!(scrambled, canonical, "this key should reorder the ties");
         let mut sorted = scrambled.clone();
         sorted.sort_unstable();
-        assert_eq!(sorted, fifo, "scramble must be a permutation");
+        assert_eq!(sorted, canonical, "scramble must be a permutation");
     }
 
     #[test]
     fn perturbation_leaves_distinct_timestamps_ordered() {
         let mut q = EventQueue::new();
         q.set_perturbation(Some(7));
-        q.push(SimTime::from_millis(5), deliver(1));
-        q.push(SimTime::from_millis(1), deliver(2));
-        q.push(SimTime::from_millis(3), deliver(3));
+        q.push(SimTime::from_millis(5), 0, deliver(1));
+        q.push(SimTime::from_millis(1), 1, deliver(2));
+        q.push(SimTime::from_millis(3), 2, deliver(3));
         let order: Vec<u64> = std::iter::from_fn(|| q.pop())
             .map(|e| e.at.as_nanos() / 1_000_000)
             .collect();
@@ -242,9 +227,9 @@ mod tests {
     #[test]
     fn peek_and_len() {
         let mut q = EventQueue::new();
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
         assert_eq!(q.peek_time(), None);
-        q.push(SimTime::from_millis(2), deliver(0));
+        q.push(SimTime::from_millis(2), 0, deliver(0));
         assert_eq!(q.peek_time(), Some(SimTime::from_millis(2)));
         assert_eq!(q.len(), 1);
     }
@@ -257,6 +242,7 @@ mod tests {
         for i in 0..50u32 {
             q.push(
                 SimTime::from_nanos(((i as u64 * 131) % 900) * 1_000),
+                u64::from(i),
                 deliver(i),
             );
         }

@@ -8,8 +8,8 @@
 //! jitter and loss, CPU/memory resource meters, and metric recorders.
 //!
 //! Determinism is a design requirement: a [`World`] seeded identically
-//! processes an identical event sequence, which the integration tests
-//! assert. All randomness flows through [`SimRng`].
+//! processes an identical event sequence — at any shard and thread count —
+//! which the integration tests assert. All randomness flows from the seed.
 //!
 //! ## Example
 //!
@@ -75,7 +75,6 @@ pub use node::{AsAny, Message, Node, NodeId, TimerToken};
 pub use profiler::{ProfCategory, ProfTimer, ProfileReport, Profiler, PROF_CATEGORIES};
 pub use resource::{CpuMeter, MemMeter};
 pub use rng::SimRng;
-pub use shard::ShardedWorld;
 pub use time::{SimDuration, SimTime};
 pub use trace::{SpanCtx, SpanId, TraceConfig, TraceEvent, TraceId, TracePhase, TraceSink};
 pub use wheel::TimerWheel;

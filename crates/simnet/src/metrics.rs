@@ -143,8 +143,8 @@ pub struct MetricsConfig {
     /// every point (seed behavior). When set, a series that exceeds the
     /// bound is decimated deterministically (every other interior point
     /// dropped, endpoints kept), halving its resolution; aggregate queries
-    /// (`mean`, `time_weighted_mean`, `max`) are maintained incrementally
-    /// over *all* recorded points and stay exact regardless.
+    /// (`mean`, `max`) are maintained incrementally over *all* recorded
+    /// points and stay exact regardless.
     pub series_capacity: usize,
 }
 
@@ -614,33 +614,60 @@ impl Histogram {
         }
     }
 
-    /// Order-independent fold over the histogram's content for
-    /// [`Metrics::digest`]. Exact histograms fold sample bit patterns
-    /// (the seed digest, byte for byte); sketches fold occupied
-    /// `(bucket, count)` pairs plus totals — deterministic and invariant
-    /// under tie-perturbation because bucket indices are bitwise functions
-    /// of the samples.
-    fn sample_fold(&self) -> u64 {
+    /// Order-independent fold over the content of the histogram `parts`
+    /// would [`merge`](Self::merge) into (in order), for
+    /// [`Metrics::digest`] — computed without building the merged
+    /// histogram. Exact histograms fold sample bit patterns (the seed
+    /// digest, byte for byte, and additive across parts); sketches fold
+    /// occupied `(bucket, count)` pairs plus totals — deterministic and
+    /// invariant under tie-perturbation because bucket indices are bitwise
+    /// functions of the samples.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`merge`](Self::merge) would: an exact first part
+    /// cannot absorb a sketch.
+    fn merged_fold(parts: &[&Histogram]) -> u64 {
         use crate::rng::mix64;
-        match &self.repr {
-            Repr::Exact { samples, .. } => {
-                let mut fold = 0u64;
-                for s in samples {
-                    fold = fold.wrapping_add(mix64(s.to_bits()));
+        let exact_fold = |samples: &[f64]| {
+            samples
+                .iter()
+                .fold(0u64, |acc, s| acc.wrapping_add(mix64(s.to_bits())))
+        };
+        if let Repr::Exact { .. } = parts[0].repr {
+            return parts.iter().fold(0u64, |acc, h| match &h.repr {
+                Repr::Exact { samples, .. } => acc.wrapping_add(exact_fold(samples)),
+                Repr::Sketch { .. } => {
+                    panic!("cannot merge a sketch histogram into an exact histogram")
                 }
-                fold
-            }
-            Repr::Sketch { buckets } => {
-                let mut fold = 0u64;
-                for (i, &c) in buckets.0.iter().enumerate() {
-                    if c != 0 {
-                        fold = fold.wrapping_add(mix64(mix64(i as u64).wrapping_add(c)));
+            });
+        }
+        let mut counts = vec![0u64; SKETCH_BUCKETS];
+        let (mut total, mut dropped) = (0u64, 0u64);
+        for h in parts {
+            match &h.repr {
+                Repr::Sketch { buckets } => {
+                    for (d, s) in counts.iter_mut().zip(buckets.0.iter()) {
+                        *d += s;
                     }
                 }
-                fold = fold.wrapping_add(mix64(self.count));
-                fold.wrapping_add(mix64(!self.dropped))
+                Repr::Exact { samples, .. } => {
+                    for &s in samples {
+                        counts[sketch_bucket(s)] += 1;
+                    }
+                }
+            }
+            total += h.count;
+            dropped += h.dropped;
+        }
+        let mut fold = 0u64;
+        for (i, &c) in counts.iter().enumerate() {
+            if c != 0 {
+                fold = fold.wrapping_add(mix64(mix64(i as u64).wrapping_add(c)));
             }
         }
+        fold = fold.wrapping_add(mix64(total));
+        fold.wrapping_add(mix64(!dropped))
     }
 
     /// Approximate heap footprint in bytes (sample buffer or bucket
@@ -657,12 +684,12 @@ impl Histogram {
 
 /// A time series of `(time, value)` points, e.g. CPU utilization samples.
 ///
-/// Aggregates (`mean`, `time_weighted_mean`, `max`) are maintained
-/// incrementally over every recorded point, bitwise identical to the
-/// seed's query-time folds. With a capacity bound
-/// ([`MetricsConfig::series_capacity`]), stored points are decimated
-/// deterministically once the bound is exceeded — resolution halves, but
-/// the aggregates keep integrating the full-resolution stream exactly.
+/// Aggregates (`mean`, `max`) are maintained incrementally over every
+/// recorded point, bitwise identical to the seed's query-time folds. With a
+/// capacity bound ([`MetricsConfig::series_capacity`]), stored points are
+/// decimated deterministically once the bound is exceeded — resolution
+/// halves, but the aggregates keep covering the full-resolution stream
+/// exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
@@ -673,10 +700,6 @@ pub struct TimeSeries {
     /// Incremental value sum; starts at `-0.0` to match `Sum for f64`.
     sum: f64,
     vmax: f64,
-    /// Trapezoidal integral accumulators (see `time_weighted_mean`).
-    area: f64,
-    span: f64,
-    last: Option<(SimTime, f64)>,
 }
 
 impl Default for TimeSeries {
@@ -701,27 +724,11 @@ impl TimeSeries {
             recorded: 0,
             sum: -0.0,
             vmax: f64::NEG_INFINITY,
-            area: 0.0,
-            span: 0.0,
-            last: None,
         }
     }
 
     /// Appends a point. Points should be appended in time order.
     pub fn record(&mut self, at: SimTime, value: f64) {
-        // Incremental trapezoid: one segment per consecutive pair, in the
-        // exact order and arithmetic of the seed's `windows(2)` fold.
-        // Segments whose time does not advance (duplicate timestamps, or
-        // the backward jump where one trial's series was appended after
-        // another's via `Metrics::merge`) contribute nothing.
-        if let Some((lt, lv)) = self.last {
-            if at > lt {
-                let dt = at.saturating_since(lt).as_secs_f64();
-                self.area += 0.5 * (lv + value) * dt;
-                self.span += dt;
-            }
-        }
-        self.last = Some((at, value));
         self.recorded += 1;
         self.sum += value;
         self.vmax = self.vmax.max(value);
@@ -773,23 +780,6 @@ impl TimeSeries {
             0.0
         } else {
             self.sum / self.recorded as f64
-        }
-    }
-
-    /// Time-weighted (trapezoidal) mean of the values, or the point mean
-    /// when fewer than two points span a positive interval.
-    ///
-    /// Unlike [`TimeSeries::mean`], which weights every sample equally
-    /// regardless of spacing, this integrates the piecewise-linear curve
-    /// through the points and divides by the covered time span — the right
-    /// notion of "average CPU/memory" when sampling is uneven. The
-    /// integral accumulates incrementally at `record` time over the
-    /// full-resolution stream, so it is exact even after decimation.
-    pub fn time_weighted_mean(&self) -> f64 {
-        if self.span > 0.0 {
-            self.area / self.span
-        } else {
-            self.mean()
         }
     }
 
@@ -1243,10 +1233,30 @@ impl Metrics {
     /// metrics hash identically: the digest walks the sorted union, so
     /// adopting `MetricId`s does not move a single byte.
     pub fn digest(&self) -> u64 {
+        Metrics::digest_merged(&[self])
+    }
+
+    /// The [`digest`](Self::digest) of the registry that merging `parts`
+    /// in order (the first cloned, the rest [`merge`](Self::merge)d into
+    /// it) would produce, computed without building that registry: no
+    /// histogram sample is copied. This is how a sharded world
+    /// fingerprints its per-shard registries.
+    pub(crate) fn digest_merged(parts: &[&Metrics]) -> u64 {
         use crate::determinism::Fnv64;
-        let counters = self.sorted_counters();
-        let histograms = self.sorted_histograms();
-        let series = self.sorted_series();
+        let mut counters: BTreeMap<&str, u64> = BTreeMap::new();
+        let mut histograms: BTreeMap<&str, Vec<&Histogram>> = BTreeMap::new();
+        let mut series: BTreeMap<&str, Vec<(usize, &TimeSeries)>> = BTreeMap::new();
+        for (i, m) in parts.iter().enumerate() {
+            for (k, v) in m.sorted_counters() {
+                *counters.entry(k).or_insert(0) += v;
+            }
+            for (k, hist) in m.sorted_histograms() {
+                histograms.entry(k).or_default().push(hist);
+            }
+            for (k, s) in m.sorted_series() {
+                series.entry(k).or_default().push((i, s));
+            }
+        }
         let mut h = Fnv64::new();
         h.write_u64(counters.len() as u64);
         for (k, v) in counters {
@@ -1254,14 +1264,36 @@ impl Metrics {
             h.write_u64(v);
         }
         h.write_u64(histograms.len() as u64);
-        for (k, hist) in histograms {
+        for (k, hists) in histograms {
             h.write(k.as_bytes());
-            h.write_u64(hist.count() as u64);
-            h.write_u64(hist.sample_fold());
+            h.write_u64(hists.iter().map(|x| x.count).sum());
+            h.write_u64(Histogram::merged_fold(&hists));
         }
         h.write_u64(series.len() as u64);
-        for (k, s) in series {
+        for (k, parts_of) in series {
             h.write(k.as_bytes());
+            // A series is stored as its points, and merging replays points
+            // through the destination's decimation, so only the common
+            // case (one part, on the first registry) is read in place.
+            let merged;
+            let s = match parts_of.as_slice() {
+                [(0, s)] => *s,
+                [(first, s0), rest @ ..] => {
+                    let (mut acc, replay) = if *first == 0 {
+                        ((*s0).clone(), rest)
+                    } else {
+                        (Metrics::series_for(&parts[0].config), &parts_of[..])
+                    };
+                    for (_, part) in replay {
+                        for &(t, v) in part.points() {
+                            acc.record(t, v);
+                        }
+                    }
+                    merged = acc;
+                    &merged
+                }
+                [] => unreachable!("a series name has at least one part"),
+            };
             for (t, v) in s.points() {
                 h.write_u64(t.as_nanos());
                 h.write_u64(v.to_bits());
@@ -1404,47 +1436,6 @@ mod tests {
             sketch_oracle: oracle,
             series_capacity: 0,
         }
-    }
-
-    #[test]
-    fn time_weighted_mean_weights_by_interval() {
-        let mut s = TimeSeries::new();
-        // 0.0 held for 9 s, then 1.0 for 1 s: point mean is ~0.5 but the
-        // trapezoidal mean must reflect the long quiet stretch.
-        s.record(SimTime::from_secs(0), 0.0);
-        s.record(SimTime::from_secs(9), 0.0);
-        s.record(SimTime::from_secs(10), 1.0);
-        let tw = s.time_weighted_mean();
-        assert!((tw - 0.05).abs() < 1e-12, "tw {tw}");
-        assert!((s.mean() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_mean_degenerate_cases() {
-        let empty = TimeSeries::new();
-        assert_eq!(empty.time_weighted_mean(), 0.0);
-
-        let mut single = TimeSeries::new();
-        single.record(SimTime::from_secs(1), 4.0);
-        assert_eq!(single.time_weighted_mean(), 4.0);
-
-        // Duplicate timestamps span no time: falls back to the point mean.
-        let mut dup = TimeSeries::new();
-        dup.record(SimTime::from_secs(1), 2.0);
-        dup.record(SimTime::from_secs(1), 6.0);
-        assert_eq!(dup.time_weighted_mean(), 4.0);
-    }
-
-    #[test]
-    fn time_weighted_mean_skips_backward_merge_seams() {
-        // Two trials merged back-to-back: the seam (t jumps backward) must
-        // not poison the integral.
-        let mut s = TimeSeries::new();
-        s.record(SimTime::from_secs(0), 2.0);
-        s.record(SimTime::from_secs(10), 2.0);
-        s.record(SimTime::from_secs(0), 4.0);
-        s.record(SimTime::from_secs(10), 4.0);
-        assert!((s.time_weighted_mean() - 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1914,10 +1905,6 @@ mod tests {
         assert!(bounded.len() <= 17, "len {}", bounded.len());
         assert_eq!(bounded.recorded(), 500);
         assert_eq!(bounded.mean().to_bits(), unbounded.mean().to_bits());
-        assert_eq!(
-            bounded.time_weighted_mean().to_bits(),
-            unbounded.time_weighted_mean().to_bits()
-        );
         assert_eq!(bounded.max().to_bits(), unbounded.max().to_bits());
         // Decimation keeps both endpoints.
         assert_eq!(bounded.points()[0].0, SimTime::ZERO);

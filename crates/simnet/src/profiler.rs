@@ -44,9 +44,9 @@ pub enum ProfCategory {
     /// cache-store calls.
     Evict = 5,
     /// Sharded execution: epoch-barrier coordination — computing the next
-    /// horizon and (in threaded runs) waiting for sibling shards. Charged
-    /// by [`ShardedWorld`](crate::ShardedWorld) only; a plain `World`
-    /// never records it.
+    /// horizon and (in threaded runs) waiting for sibling shards. A
+    /// one-shard world runs one epoch per `run_*` call, so it records a
+    /// couple of calls per run.
     ShardBarrier = 6,
     /// Sharded execution: routing cross-shard mailbox envelopes into the
     /// destination shard's event queue at an epoch barrier.
@@ -212,7 +212,7 @@ impl ProfileReport {
     }
 
     /// Host time spent coordinating shards: epoch barriers plus mailbox
-    /// routing. Zero for a plain (unsharded) `World`.
+    /// routing. Near zero for a one-shard `World`.
     pub fn coordination_nanos(&self) -> u64 {
         self.nanos(ProfCategory::ShardBarrier) + self.nanos(ProfCategory::MailboxDrain)
     }

@@ -95,7 +95,7 @@ impl SimRng {
 
     /// Uniform float in `[0, 1)` with 53 bits of precision.
     pub fn unit(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_of(self.next_u64())
     }
 
     /// Uniform integer in `[lo, hi]` (inclusive).
@@ -150,8 +150,7 @@ impl SimRng {
         if mean <= 0.0 {
             return 0.0;
         }
-        let u: f64 = 1.0 - self.unit(); // in (0, 1]
-        -mean * u.ln()
+        exponential_of(self.unit(), mean)
     }
 
     /// Standard normal variate via the Box–Muller transform.
@@ -181,6 +180,55 @@ impl SimRng {
             let idx = self.uniform_u64(0, items.len() as u64 - 1) as usize;
             Some(&items[idx])
         }
+    }
+}
+
+/// Maps a raw 64-bit draw onto `[0, 1)` with 53 bits of precision.
+fn unit_of(bits: u64) -> f64 {
+    (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// Inverse-CDF exponential variate with mean `mean > 0` from a uniform
+/// `unit` in `[0, 1)`.
+fn exponential_of(unit: f64, mean: f64) -> f64 {
+    let u: f64 = 1.0 - unit; // in (0, 1]
+    -mean * u.ln()
+}
+
+/// The few draws one send makes (fault loss, link loss, jitter), from a
+/// SplitMix64 stream whose seed is the message's well-mixed identity key.
+///
+/// A send needs at most three draws, so seeding must be cheap: the key is
+/// already a hash output, so the stream starts from it directly and each
+/// draw is one SplitMix64 round. A [`SimRng`] would first spend four rounds
+/// expanding the seed into xoshiro state.
+#[derive(Debug, Clone)]
+pub(crate) struct KeyStream(u64);
+
+impl KeyStream {
+    /// A stream over the draws of the message keyed `key` in a world seeded
+    /// `seed`.
+    pub(crate) fn new(seed: u64, key: u64) -> Self {
+        KeyStream(seed ^ key)
+    }
+
+    /// Uniform float in `[0, 1)`.
+    pub(crate) fn unit(&mut self) -> f64 {
+        unit_of(splitmix64(&mut self.0))
+    }
+
+    /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
+    pub(crate) fn chance(&mut self, p: f64) -> bool {
+        self.unit() < p.clamp(0.0, 1.0)
+    }
+
+    /// Exponential jitter duration with the given mean duration.
+    pub(crate) fn jitter(&mut self, mean: SimDuration) -> SimDuration {
+        let mean = mean.as_secs_f64();
+        if mean <= 0.0 {
+            return SimDuration::ZERO;
+        }
+        SimDuration::from_secs_f64(exponential_of(self.unit(), mean))
     }
 }
 
@@ -274,6 +322,35 @@ mod tests {
         let empty: [u8; 0] = [];
         assert_eq!(r.choose(&empty), None);
         assert_eq!(r.choose(&[42]), Some(&42));
+    }
+
+    #[test]
+    fn key_streams_are_pure_functions_of_seed_and_key() {
+        let draws = |seed, key| {
+            let mut s = KeyStream::new(seed, key);
+            [s.unit(), s.unit(), s.unit()]
+        };
+        assert_eq!(draws(1, 0xABCD), draws(1, 0xABCD));
+        assert_ne!(draws(1, 0xABCD), draws(1, 0xABCE));
+        assert_ne!(draws(1, 0xABCD), draws(2, 0xABCD));
+        let mut s = KeyStream::new(5, 9);
+        assert_eq!(s.jitter(SimDuration::ZERO), SimDuration::ZERO);
+        assert!(!s.chance(0.0));
+        assert!(s.chance(1.0));
+    }
+
+    #[test]
+    fn key_stream_jitter_has_the_requested_mean() {
+        let n = 20_000u64;
+        let total: f64 = (0..n)
+            .map(|key| {
+                KeyStream::new(11, crate::rng::mix64(key))
+                    .jitter(SimDuration::from_millis(5))
+                    .as_millis_f64()
+            })
+            .sum();
+        let mean = total / n as f64;
+        assert!((mean - 5.0).abs() < 0.2, "observed mean {mean}");
     }
 
     #[test]

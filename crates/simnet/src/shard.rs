@@ -1,20 +1,22 @@
 //! Sharded deterministic execution: one world partitioned across shards.
 //!
-//! A [`ShardedWorld`] splits one simulation into shards that each own a
-//! subset of the nodes, a private event queue ([`crate::wheel::TimerWheel`]
-//! via [`EventQueue`]), per-node RNG streams, and private metrics/trace
-//! buffers. Shards advance in lock-step *epochs*: every epoch processes the
-//! window `[S, S + L)` where `S` is the earliest pending event anywhere and
-//! `L` is the **conservative lookahead** — the minimum propagation delay of
-//! any cross-shard link. Cross-shard messages stage in per-shard outboxes
-//! and are delivered into the destination queue at the epoch barrier; since
-//! a message sent at `t ≥ S` arrives at `t + owd ≥ S + L`, no delivery can
-//! land inside a window that has already been processed.
+//! A [`World`](crate::World) splits its nodes over one or more [`Shard`]s
+//! that each own a subset of the nodes, a private event queue
+//! ([`crate::wheel::TimerWheel`] via [`EventQueue`]), per-node RNG streams,
+//! and private metrics/trace buffers. Shards advance in lock-step *epochs*:
+//! every epoch processes the window `[S, S + L)` where `S` is the earliest
+//! pending event anywhere and `L` is the **conservative lookahead** — the
+//! minimum propagation delay of any cross-shard link. Cross-shard messages
+//! stage in per-shard outboxes and are delivered into the destination queue
+//! at the epoch barrier; since a message sent at `t ≥ S` arrives at
+//! `t + owd ≥ S + L`, no delivery can land inside a window that has already
+//! been processed. A one-shard world has no cross-shard link, so its single
+//! epoch runs to the deadline.
 //!
 //! # Determinism contract
 //!
-//! A sharded run is **bitwise identical at any shard count and any thread
-//! count**. Three mechanisms make that hold:
+//! A run is **bitwise identical at any shard count and any thread count**.
+//! Three mechanisms make that hold:
 //!
 //! 1. **Intrinsic canonical tie-break keys.** Every scheduled event's key
 //!    is a hash of its *identity in the schedule* — a message is `(send
@@ -26,90 +28,99 @@
 //!    triggered work (a window roll run by whichever tick reaches the due
 //!    instant first) mints identical keys in either tie order. Keys are
 //!    distinct with overwhelming probability (64-bit birthday bound). Tie
-//!    perturbation scrambles the keys bijectively at push time, exactly
-//!    like the plain [`World`](crate::World).
+//!    perturbation scrambles the keys bijectively at push time.
 //! 2. **Key-derived send randomness; per-node streams elsewhere.** Each
-//!    sharded send draws its loss and jitter from a one-shot stream seeded
-//!    by its own intrinsic key, so the draw is a property of the message,
-//!    not of how many draws its sender made first — two callbacks tied on
-//!    one nanosecond cannot couple through a shared stream in either
-//!    dispatch order. Every other draw a node makes (`ctx.rng()`) comes
-//!    from its own SplitMix-derived stream seeded by `(world seed, node
-//!    id)`, independent of global interleaving.
+//!    send draws its loss and jitter from a one-shot stream seeded by its
+//!    own intrinsic key, so the draw is a property of the message, not of
+//!    how many draws its sender made first — two callbacks tied on one
+//!    nanosecond cannot couple through a shared stream in either dispatch
+//!    order. Every other draw a node makes (`ctx.rng()`) comes from its own
+//!    SplitMix-derived stream seeded by `(world seed, node id)`,
+//!    independent of global interleaving.
 //! 3. **Node-keyed trace/metric state.** Trace and span ids derive from the
 //!    recording node, every trace event is stamped with its dispatch key,
 //!    and per-shard buffers are merged by stamp into one canonical stream;
 //!    metric registries merge commutatively.
 //!
-//! Because of (2) and (3), a sharded run's fingerprint is *internally*
-//! invariant (same at every shard/thread count) but intentionally not equal
-//! to the plain `World`'s fingerprint for the same scenario: the plain
-//! world draws all randomness from one global stream and allocates trace
-//! ids in dispatch order. The plain path is untouched — byte-for-byte the
-//! pre-shard scheduler — and remains the reference the sharded executor is
-//! differentially tested against at shard count 1.
-//!
-//! [`enable_shard_oracle`](ShardedWorld::enable_shard_oracle) turns on
+//! [`enable_shard_oracle`](crate::World::enable_shard_oracle) turns on
 //! online checks of the epoch protocol itself (monotone per-shard dispatch,
 //! no mailbox delivery into an already-processed window), and
-//! [`override_lookahead`](ShardedWorld::override_lookahead) lets tests
+//! [`override_lookahead`](crate::World::override_lookahead) lets tests
 //! claim a larger-than-true lookahead to prove the oracle catches a real
 //! interleaving bug.
 
-use crate::determinism::{Fingerprint, Fnv64};
 use crate::event::{EventKind, EventQueue};
 use crate::fault::FaultPlan;
-use crate::link::{LinkSerializer, LinkSpec, Topology};
-use crate::metrics::{Metrics, MetricsConfig};
+use crate::link::{LinkSerializer, Topology};
+use crate::metrics::Metrics;
 use crate::node::{Message, Node, NodeId};
-use crate::profiler::{ProfCategory, ProfileReport, Profiler};
+use crate::profiler::{ProfCategory, Profiler};
 use crate::rng::{mix64, SimRng};
-use crate::time::{SimDuration, SimTime};
-use crate::trace::{SpanCtx, TraceConfig, TraceEvent, TraceSink};
-use crate::world::{Context, InstantKeys, Outbound, RouteRef, RunReport, StopReason};
+use crate::time::SimTime;
+use crate::trace::{SpanCtx, TraceSink};
+use crate::world::{Context, InstantKeys};
+
+/// A cross-shard event staged in a shard's outbox during an epoch, to be
+/// delivered into the destination shard's queue at the next barrier.
+pub(crate) struct Outbound<M> {
+    pub at: SimTime,
+    /// Intrinsic canonical tie-break key (see `InstantKeys`).
+    pub key: u64,
+    pub dst_shard: u32,
+    pub kind: EventKind<M>,
+}
 
 /// Derives the RNG stream for one node from the world seed. Golden-ratio
 /// increments keep the streams well separated under `mix64`.
-fn node_stream(seed: u64, raw: u32) -> SimRng {
+pub(crate) fn node_stream(seed: u64, raw: u32) -> SimRng {
     let stream = (raw as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     SimRng::seed_from(mix64(seed ^ stream))
 }
 
+/// The world's read-only wiring every shard dispatches against.
+#[derive(Clone, Copy)]
+pub(crate) struct Wiring<'a> {
+    pub topology: &'a Topology,
+    pub faults: &'a FaultPlan,
+    /// Global node raw index → owning shard.
+    pub home_shard: &'a [u32],
+    /// Global node raw index → local index within its shard.
+    pub home_local: &'a [u32],
+}
+
 /// One shard: a slice of the node table with its own queue, RNG streams and
 /// observability buffers.
-struct Shard<M: Message> {
-    queue: EventQueue<M>,
-    nodes: Vec<Option<Box<dyn Node<M>>>>,
+pub(crate) struct Shard<M: Message> {
+    pub queue: EventQueue<M>,
+    pub nodes: Vec<Option<Box<dyn Node<M>>>>,
     /// Local index → global id.
-    node_ids: Vec<NodeId>,
+    pub node_ids: Vec<NodeId>,
     /// Per-node RNG streams (local index).
-    rngs: Vec<SimRng>,
+    pub rngs: Vec<SimRng>,
     /// World seed, folded into key-derived send randomness.
     seed: u64,
     /// Intrinsic tie-break key allocator (see `InstantKeys`).
-    keys: InstantKeys,
-    metrics: Metrics,
-    trace: TraceSink,
-    prof: Profiler,
+    pub keys: InstantKeys,
+    pub metrics: Metrics,
+    pub trace: TraceSink,
+    pub prof: Profiler,
     /// Per-directed-link arrival serialization. Keyed by `(src, dst)` and a
     /// source node lives on exactly one shard, so per-shard state reserves
     /// identically at any shard count — including for cross-shard sends,
     /// whose arrival time is fixed here at send time before staging.
-    links: LinkSerializer,
+    pub links: LinkSerializer,
     /// Cross-shard sends staged during the current epoch.
-    outbox: Vec<Outbound<M>>,
-    processed: u64,
+    pub outbox: Vec<Outbound<M>>,
+    pub processed: u64,
     /// Shard-oracle state: the `(at, key)` of the last dispatched event.
     last_dispatch: Option<(SimTime, u64)>,
     /// Shard-oracle state: events strictly below this time have been
     /// processed; a mailbox delivery below it is a protocol violation.
-    drained_to: SimTime,
+    pub drained_to: SimTime,
 }
 
 impl<M: Message> Shard<M> {
-    fn new(seed: u64) -> Self {
-        let mut trace = TraceSink::default();
-        trace.enable_node_ids();
+    pub fn new(seed: u64) -> Self {
         Shard {
             queue: EventQueue::new(),
             nodes: Vec::new(),
@@ -118,7 +129,7 @@ impl<M: Message> Shard<M> {
             seed,
             keys: InstantKeys::default(),
             metrics: Metrics::new(),
-            trace,
+            trace: TraceSink::default(),
             prof: Profiler::new(),
             links: LinkSerializer::default(),
             outbox: Vec::new(),
@@ -129,15 +140,12 @@ impl<M: Message> Shard<M> {
     }
 
     /// Runs `f` against one local node with a fully wired [`Context`].
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch(
+    pub fn dispatch(
         &mut self,
         local: usize,
         now: SimTime,
         span: Option<SpanCtx>,
-        topology: &Topology,
-        faults: &FaultPlan,
-        home_shard: &[u32],
+        wiring: Wiring<'_>,
         self_shard: u32,
         f: impl FnOnce(&mut dyn Node<M>, &mut Context<'_, M>),
     ) {
@@ -150,22 +158,20 @@ impl<M: Message> Shard<M> {
             let mut ctx = Context {
                 now,
                 self_id: id,
+                self_shard,
+                home: wiring.home_shard,
+                seed: self.seed,
+                keys: &mut self.keys,
                 queue: &mut self.queue,
-                topology,
-                faults,
+                outbox: &mut self.outbox,
+                topology: wiring.topology,
+                faults: wiring.faults,
                 links: &mut self.links,
                 rng: &mut self.rngs[local],
                 metrics: &mut self.metrics,
                 trace: &mut self.trace,
                 prof: &mut self.prof,
                 span,
-                route: Some(RouteRef {
-                    self_shard,
-                    home: home_shard,
-                    seed: self.seed,
-                    keys: &mut self.keys,
-                    outbox: &mut self.outbox,
-                }),
             };
             f(node.as_mut(), &mut ctx);
         }
@@ -173,24 +179,22 @@ impl<M: Message> Shard<M> {
         self.prof.record(ProfCategory::Dispatch, t);
     }
 
-    /// Processes every local event with `at < horizon && at <= deadline`.
-    /// Returns `(events processed, last event time)`.
-    #[allow(clippy::too_many_arguments)]
-    fn drain_epoch(
+    /// Processes local events with `at < horizon && at <= deadline`, at
+    /// most `budget` of them. Returns `(events processed, last event
+    /// time)`.
+    pub fn drain_epoch(
         &mut self,
         horizon: SimTime,
         deadline: SimTime,
-        topology: &Topology,
-        faults: &FaultPlan,
-        home_shard: &[u32],
-        home_local: &[u32],
+        budget: u64,
+        wiring: Wiring<'_>,
         self_shard: u32,
         oracle: bool,
     ) -> (u64, Option<SimTime>) {
         let mut events = 0u64;
         let mut last_at = None;
         while let Some(at) = self.queue.peek_time() {
-            if at >= horizon || at > deadline {
+            if at >= horizon || at > deadline || events >= budget {
                 break;
             }
             let t = self.prof.start();
@@ -222,39 +226,26 @@ impl<M: Message> Shard<M> {
                     msg,
                     span,
                 } => {
-                    debug_assert_eq!(home_shard[to.as_raw() as usize], self_shard);
-                    let local = home_local[to.as_raw() as usize] as usize;
-                    self.dispatch(
-                        local,
-                        ev.at,
-                        span,
-                        topology,
-                        faults,
-                        home_shard,
-                        self_shard,
-                        |node, ctx| node.on_message(ctx, from, msg),
-                    );
+                    debug_assert_eq!(wiring.home_shard[to.index()], self_shard);
+                    let local = wiring.home_local[to.index()] as usize;
+                    self.dispatch(local, ev.at, span, wiring, self_shard, |node, ctx| {
+                        node.on_message(ctx, from, msg)
+                    });
                 }
                 EventKind::Timer { node, token, span } => {
-                    let local = home_local[node.as_raw() as usize] as usize;
-                    self.dispatch(
-                        local,
-                        ev.at,
-                        span,
-                        topology,
-                        faults,
-                        home_shard,
-                        self_shard,
-                        |n, ctx| n.on_timer(ctx, token),
-                    );
+                    let local = wiring.home_local[node.index()] as usize;
+                    self.dispatch(local, ev.at, span, wiring, self_shard, |n, ctx| {
+                        n.on_timer(ctx, token)
+                    });
                 }
             }
         }
         self.processed += events;
-        let completed = if horizon <= deadline {
-            horizon
+        // A budget stop leaves the rest of the window unprocessed.
+        let completed = if events >= budget {
+            last_at.unwrap_or(self.drained_to)
         } else {
-            deadline
+            horizon.min(deadline)
         };
         if completed > self.drained_to {
             self.drained_to = completed;
@@ -263,648 +254,15 @@ impl<M: Message> Shard<M> {
     }
 }
 
-/// A [`World`](crate::World) partitioned into shards that advance in
-/// lookahead-sized epochs and exchange traffic through deterministic
-/// mailboxes. See the [module docs](self) for the protocol and the
-/// determinism contract.
-pub struct ShardedWorld<M: Message> {
-    shards: Vec<Shard<M>>,
-    /// Global node raw index → owning shard.
-    home_shard: Vec<u32>,
-    /// Global node raw index → local index within its shard.
-    home_local: Vec<u32>,
-    names: Vec<String>,
-    topology: Topology,
-    faults: FaultPlan,
-    seed: u64,
-    clock: SimTime,
-    started: bool,
-    /// Minimum propagation delay over cross-shard links, tracked at
-    /// `connect` time. `None` until the first cross-shard link exists.
-    min_cross_owd: Option<SimDuration>,
-    lookahead_override: Option<SimDuration>,
-    threads: usize,
-    oracle: bool,
-    tie_perturbation: Option<u64>,
-    /// Coordinator-level profiler: epoch barriers and mailbox drains.
-    prof: Profiler,
-    event_cap: u64,
-}
-
-impl<M: Message> ShardedWorld<M> {
-    /// Creates an empty sharded world with `shard_count` shards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard_count` is zero.
-    pub fn new(seed: u64, shard_count: u32) -> Self {
-        assert!(shard_count > 0, "a world needs at least one shard");
-        ShardedWorld {
-            shards: (0..shard_count).map(|_| Shard::new(seed)).collect(),
-            home_shard: Vec::new(),
-            home_local: Vec::new(),
-            names: Vec::new(),
-            topology: Topology::new(),
-            faults: FaultPlan::new(),
-            seed,
-            clock: SimTime::ZERO,
-            started: false,
-            min_cross_owd: None,
-            lookahead_override: None,
-            threads: 1,
-            oracle: false,
-            tie_perturbation: None,
-            prof: Profiler::new(),
-            event_cap: u64::MAX,
-        }
-    }
-
-    /// Registers a node on `shard` and returns its (global) id. Ids are
-    /// assigned densely in call order, independent of the shard argument —
-    /// the same build sequence yields the same ids at any shard count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range or the run has started.
-    pub fn add_node(
-        &mut self,
-        shard: u32,
-        name: impl Into<String>,
-        node: impl Node<M> + 'static,
-    ) -> NodeId {
-        assert!(!self.started, "add_node after the run started");
-        assert!(
-            (shard as usize) < self.shards.len(),
-            "shard {shard} out of range"
-        );
-        let id = NodeId::from_raw(self.home_shard.len() as u32);
-        let s = &mut self.shards[shard as usize];
-        self.home_shard.push(shard);
-        self.home_local.push(s.nodes.len() as u32);
-        s.nodes.push(Some(Box::new(node)));
-        s.node_ids.push(id);
-        s.rngs.push(node_stream(self.seed, id.as_raw()));
-        self.names.push(name.into());
-        id
-    }
-
-    /// Registers a symmetric link between two nodes. A cross-shard link
-    /// contributes its propagation delay to the epoch lookahead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either id is unknown, or if a cross-shard link has zero
-    /// propagation delay (which would collapse the lookahead to nothing).
-    pub fn connect(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) {
-        assert!(
-            (a.as_raw() as usize) < self.home_shard.len(),
-            "unknown node {a}"
-        );
-        assert!(
-            (b.as_raw() as usize) < self.home_shard.len(),
-            "unknown node {b}"
-        );
-        if self.home_shard[a.as_raw() as usize] != self.home_shard[b.as_raw() as usize] {
-            let owd = spec.propagation_owd();
-            assert!(
-                owd > SimDuration::ZERO,
-                "cross-shard link {a} <-> {b} must have nonzero propagation delay: \
-                 it bounds the epoch lookahead"
-            );
-            self.min_cross_owd = Some(match self.min_cross_owd {
-                Some(cur) if cur <= owd => cur,
-                _ => owd,
-            });
-        }
-        self.topology.connect(a, b, spec);
-    }
-
-    /// Replaces FIFO tie-breaking with a seeded bijective permutation of
-    /// the canonical keys, exactly like
-    /// [`World::set_tie_perturbation`](crate::World::set_tie_perturbation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run has started or events are pending.
-    pub fn set_tie_perturbation(&mut self, key: u64) {
-        assert!(
-            !self.started && self.shards.iter_mut().all(|s| s.queue.is_empty()),
-            "set_tie_perturbation must be called before any event is scheduled"
-        );
-        self.tie_perturbation = Some(key);
-        for shard in &mut self.shards {
-            shard.queue.set_perturbation(Some(key));
-        }
-    }
-
-    /// The active tie-break perturbation key, if any.
-    pub fn tie_perturbation(&self) -> Option<u64> {
-        self.tie_perturbation
-    }
-
-    /// Turns on the shard-protocol oracle: every dispatch is checked for
-    /// strictly increasing `(at, key)` order per shard, and every mailbox
-    /// delivery is checked against the destination shard's completed
-    /// horizon. A violated check panics with the offending pair — the
-    /// sharded counterpart of
-    /// [`World::enable_queue_oracle`](crate::World::enable_queue_oracle).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run has started.
-    pub fn enable_shard_oracle(&mut self) {
-        assert!(
-            !self.started,
-            "enable_shard_oracle must be called before the run starts"
-        );
-        self.oracle = true;
-    }
-
-    /// Overrides the computed lookahead. **Testing knob**: claiming a
-    /// larger-than-true lookahead breaks the epoch-safety argument, which
-    /// is precisely how the oracle tests manufacture a real interleaving
-    /// bug. Never use this to "tune" a run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run has started or `lookahead` is zero.
-    pub fn override_lookahead(&mut self, lookahead: SimDuration) {
-        assert!(!self.started, "override_lookahead after the run started");
-        assert!(lookahead > SimDuration::ZERO, "lookahead must be positive");
-        self.lookahead_override = Some(lookahead);
-    }
-
-    /// Sets how many worker threads epochs may fan out over (default 1:
-    /// the sequential executor). The thread count never changes results —
-    /// shards are data-independent within an epoch and mailboxes are
-    /// drained by the coordinator in shard order.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// Attaches a deterministic fault schedule (see
-    /// [`World::set_fault_plan`](crate::World::set_fault_plan)).
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.faults = plan;
-    }
-
-    /// Configures tracing on every shard sink. Sharded sinks run in
-    /// node-keyed id mode (see the [module docs](self)); configure a
-    /// capacity large enough for the run, because ring-buffer eviction is
-    /// per shard and therefore *is* shard-count-sensitive.
-    pub fn set_trace_config(&mut self, config: TraceConfig) {
-        for shard in &mut self.shards {
-            shard.trace.set_config(config);
-        }
-    }
-
-    /// Configures every shard's metric registry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run has started.
-    pub fn set_metrics_config(&mut self, config: MetricsConfig) {
-        assert!(
-            !self.started,
-            "set_metrics_config must be called before the run starts"
-        );
-        for shard in &mut self.shards {
-            shard.metrics.set_config(config.clone());
-        }
-    }
-
-    /// Turns on the self-profiler on the coordinator (epoch barriers,
-    /// mailbox drains) and on every shard (dispatch, queue, trace, …).
-    pub fn enable_profiler(&mut self) {
-        self.prof.enable();
-        for shard in &mut self.shards {
-            shard.prof.enable();
-            shard.metrics.enable_self_profile();
-        }
-    }
-
-    /// Merged profiler attribution: all shard profilers, the coordinator's
-    /// barrier/mailbox rows, and metric-registry self-time.
-    pub fn profile_report(&self) -> ProfileReport {
-        let mut report = self.prof.report();
-        for shard in &self.shards {
-            report.merge(&shard.prof.report());
-            let (nanos, calls) = shard.metrics.self_profile();
-            report.nanos[ProfCategory::Metrics as usize] += nanos;
-            report.calls[ProfCategory::Metrics as usize] += calls;
-        }
-        report
-    }
-
-    /// Limits the total number of events a run may process. The sharded
-    /// executor enforces the cap at **epoch granularity** (a started epoch
-    /// always completes), so the stop point depends on the shard count;
-    /// it is runaway protection, not a precision instrument.
-    pub fn set_event_cap(&mut self, cap: u64) {
-        self.event_cap = cap;
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The epoch lookahead currently in force: the override if set, else
-    /// the minimum cross-shard propagation delay, else `None` (single
-    /// shard or no cross-shard link yet).
-    pub fn lookahead(&self) -> Option<SimDuration> {
-        self.lookahead_override.or(self.min_cross_owd)
-    }
-
-    /// Current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.clock
-    }
-
-    /// Number of registered nodes (across all shards).
-    pub fn node_count(&self) -> usize {
-        self.home_shard.len()
-    }
-
-    /// The registered name of a node.
-    pub fn node_name(&self, id: NodeId) -> &str {
-        &self.names[id.as_raw() as usize]
-    }
-
-    /// The shard owning a node.
-    pub fn shard_of(&self, id: NodeId) -> u32 {
-        self.home_shard[id.as_raw() as usize]
-    }
-
-    /// Total pending events across all shards.
-    pub fn pending_events(&self) -> usize {
-        self.shards.iter().map(|s| s.queue.len()).sum()
-    }
-
-    /// Downcasts a node to its concrete type (see
-    /// [`World::node`](crate::World::node)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is unknown or the type does not match.
-    pub fn node<T: 'static>(&self, id: NodeId) -> &T {
-        let shard = &self.shards[self.home_shard[id.as_raw() as usize] as usize];
-        shard.nodes[self.home_local[id.as_raw() as usize] as usize]
-            .as_ref()
-            .expect("node is mid-dispatch")
-            .as_any()
-            .downcast_ref::<T>()
-            .unwrap_or_else(|| panic!("node {id} is not a {}", std::any::type_name::<T>()))
-    }
-
-    /// Mutable variant of [`node`](Self::node).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`node`](Self::node).
-    pub fn node_mut<T: 'static>(&mut self, id: NodeId) -> &mut T {
-        let shard = &mut self.shards[self.home_shard[id.as_raw() as usize] as usize];
-        shard.nodes[self.home_local[id.as_raw() as usize] as usize]
-            .as_mut()
-            .expect("node is mid-dispatch")
-            .as_any_mut()
-            .downcast_mut::<T>()
-            .unwrap_or_else(|| panic!("node {id} is not a {}", std::any::type_name::<T>()))
-    }
-
-    /// Merged view of every shard's metric registry (counters add,
-    /// histogram sample multisets union — all order-insensitive).
-    pub fn metrics_merged(&self) -> Metrics {
-        let mut merged = self.shards[0].metrics.clone();
-        for shard in &self.shards[1..] {
-            merged.merge(&shard.metrics);
-        }
-        merged
-    }
-
-    /// Removes and returns all buffered trace events merged into the
-    /// canonical global dispatch order (by `(at, key, intra)` stamp).
-    pub fn take_trace_events(&mut self) -> Vec<TraceEvent> {
-        let mut stamped: Vec<_> = self
-            .shards
-            .iter_mut()
-            .flat_map(|s| s.trace.drain_stamped())
-            .collect();
-        stamped.sort_unstable_by_key(|(stamp, _)| *stamp);
-        stamped.into_iter().map(|(_, ev)| ev).collect()
-    }
-
-    /// Events processed across all shards and `run_*` calls.
-    pub fn events_processed(&self) -> u64 {
-        self.shards.iter().map(|s| s.processed).sum()
-    }
-
-    /// Digest of everything the determinism contract covers, merged across
-    /// shards: metric content, canonical trace stream, final clock and
-    /// events processed. Equal at any shard and thread count; *not*
-    /// comparable to a plain [`World`](crate::World) fingerprint (see the
-    /// [module docs](self)).
-    pub fn fingerprint(&self) -> Fingerprint {
-        Fingerprint {
-            clock_ns: self.clock.as_nanos(),
-            events: self.events_processed(),
-            metrics: self.metrics_merged().digest(),
-            trace: self.merged_trace_digest(),
-        }
-    }
-
-    /// Order-canonical digest of the per-shard trace buffers: the merged
-    /// event stream in stamp order plus the folded bookkeeping counters.
-    /// Mirrors [`TraceSink::digest`]'s 0-for-untouched convention.
-    fn merged_trace_digest(&self) -> u64 {
-        let (mut dropped, mut candidates, mut traces, mut spans) = (0u64, 0u64, 0u64, 0u64);
-        let mut total_events = 0usize;
-        for shard in &self.shards {
-            let (d, c, t, s) = shard.trace.counters_fold();
-            dropped += d;
-            candidates += c;
-            traces += t;
-            spans += s;
-            total_events += shard.trace.len();
-        }
-        if total_events == 0 && dropped == 0 && candidates == 0 {
-            return 0;
-        }
-        let mut stamped: Vec<_> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.trace.stamped_events())
-            .collect();
-        stamped.sort_unstable_by_key(|(stamp, _)| **stamp);
-        let mut h = Fnv64::new();
-        h.write_u64(dropped);
-        h.write_u64(candidates);
-        h.write_u64(traces);
-        h.write_u64(spans);
-        for (_, e) in stamped {
-            h.write_u64(e.at.as_nanos());
-            h.write_u64(e.trace.0);
-            h.write_u64(e.span.0);
-            h.write_u64(e.parent.map_or(u64::MAX, |p| p.0));
-            h.write_u64(e.node.as_raw() as u64);
-            h.write(e.kind.as_bytes());
-            h.write(e.phase.as_str().as_bytes());
-        }
-        h.finish()
-    }
-
-    /// The stamp key a node's `on_start` trace events carry: the synthetic
-    /// key `node_raw << 40`, scrambled like every dispatch key when a
-    /// perturbation is active.
-    fn start_stamp_key(&self, id: NodeId) -> u64 {
-        let raw = (id.as_raw() as u64) << 40;
-        match self.tie_perturbation {
-            Some(pert) => mix64(raw ^ pert),
-            None => raw,
-        }
-    }
-
-    fn start_if_needed(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        // on_start runs in global id order — the same order the plain
-        // world uses — then the resulting cross-shard sends are delivered
-        // before the first epoch.
-        for raw in 0..self.home_shard.len() {
-            let id = NodeId::from_raw(raw as u32);
-            let shard_idx = self.home_shard[raw] as usize;
-            let local = self.home_local[raw] as usize;
-            let key = self.start_stamp_key(id);
-            let shard = &mut self.shards[shard_idx];
-            if shard.trace.is_enabled() {
-                shard.trace.set_dispatch_stamp(SimTime::ZERO, key);
-            }
-            let (topology, faults, home_shard) = (&self.topology, &self.faults, &self.home_shard);
-            shard.dispatch(
-                local,
-                SimTime::ZERO,
-                None,
-                topology,
-                faults,
-                home_shard,
-                shard_idx as u32,
-                |node, ctx| node.on_start(ctx),
-            );
-        }
-        self.drain_mailboxes();
-    }
-
-    /// Delivers every staged cross-shard event into its destination queue,
-    /// in shard order. Order of insertion is irrelevant to results — the
-    /// destination wheel orders on the canonical `(at, key)` — but fixing
-    /// it keeps the walk cache-friendly and the oracle's view simple.
-    fn drain_mailboxes(&mut self) {
-        let t = self.prof.start();
-        for src in 0..self.shards.len() {
-            if self.shards[src].outbox.is_empty() {
-                continue;
-            }
-            let mut staged = std::mem::take(&mut self.shards[src].outbox);
-            for ob in staged.drain(..) {
-                let dst = &mut self.shards[ob.dst_shard as usize];
-                if self.oracle {
-                    assert!(
-                        ob.at >= dst.drained_to,
-                        "shard oracle: mailbox delivery at {:?} into shard {} which already \
-                         processed up to {:?} — lookahead violated",
-                        ob.at,
-                        ob.dst_shard,
-                        dst.drained_to,
-                    );
-                }
-                dst.queue.push_keyed(ob.at, ob.key, ob.kind);
-            }
-            // Hand the (now empty) buffer back so the allocation is reused.
-            self.shards[src].outbox = staged;
-        }
-        self.prof.record(ProfCategory::MailboxDrain, t);
-    }
-
-    /// The lookahead the epoch loop must use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the world has more than one shard but no cross-shard link
-    /// (the lookahead would be undefined).
-    fn effective_lookahead(&self) -> SimDuration {
-        self.lookahead_override
-            .or(self.min_cross_owd)
-            .unwrap_or_else(|| {
-                panic!(
-                    "a {}-shard world needs at least one cross-shard link \
-                     (or override_lookahead) to define the epoch lookahead",
-                    self.shards.len()
-                )
-            })
-    }
-
-    /// Runs until every queue drains or the clock reaches `deadline`.
-    pub fn run_until(&mut self, deadline: SimTime) -> RunReport {
-        self.start_if_needed();
-        let multi = self.shards.len() > 1;
-        let lookahead = if multi {
-            Some(self.effective_lookahead())
-        } else {
-            None
-        };
-        let mut events = 0u64;
-        loop {
-            if events >= self.event_cap {
-                return RunReport {
-                    events,
-                    reason: StopReason::EventCap,
-                    now: self.clock,
-                };
-            }
-            // Epoch barrier: agree on the global window [start, horizon).
-            let t = self.prof.start();
-            let start = self
-                .shards
-                .iter_mut()
-                .filter_map(|s| s.queue.peek_time())
-                .min();
-            self.prof.record(ProfCategory::ShardBarrier, t);
-            let Some(start) = start else {
-                if deadline < SimTime::MAX {
-                    self.clock = deadline;
-                }
-                return RunReport {
-                    events,
-                    reason: StopReason::Idle,
-                    now: self.clock,
-                };
-            };
-            if start > deadline {
-                self.clock = deadline;
-                return RunReport {
-                    events,
-                    reason: StopReason::Deadline,
-                    now: self.clock,
-                };
-            }
-            let horizon = match lookahead {
-                Some(l) => start + l,
-                None => SimTime::MAX,
-            };
-            let (epoch_events, epoch_last) = self.run_epoch(horizon, deadline);
-            events += epoch_events;
-            if let Some(last) = epoch_last {
-                if last > self.clock {
-                    self.clock = last;
-                }
-            }
-            self.drain_mailboxes();
-        }
-    }
-
-    /// Drains every shard over `[.., horizon) ∩ [.., deadline]`, on one
-    /// thread or several. Returns total events and the latest event time.
-    fn run_epoch(&mut self, horizon: SimTime, deadline: SimTime) -> (u64, Option<SimTime>) {
-        let oracle = self.oracle;
-        let workers = self.threads.min(self.shards.len());
-        let ShardedWorld {
-            shards,
-            topology,
-            faults,
-            home_shard,
-            home_local,
-            prof,
-            ..
-        } = self;
-        // Reborrow shared so the per-thread closures can copy them.
-        let (topology, faults): (&Topology, &FaultPlan) = (topology, faults);
-        let (home_shard, home_local): (&[u32], &[u32]) = (home_shard, home_local);
-        let results: Vec<(u64, Option<SimTime>)> = if workers <= 1 {
-            shards
-                .iter_mut()
-                .enumerate()
-                .map(|(i, shard)| {
-                    shard.drain_epoch(
-                        horizon, deadline, topology, faults, home_shard, home_local, i as u32,
-                        oracle,
-                    )
-                })
-                .collect()
-        } else {
-            // Scoped fan-out: shards are data-independent within an epoch
-            // (each touches only its own queue/nodes/buffers), so any
-            // partition of the shard vector over threads yields identical
-            // results; the coordinator's join is the barrier.
-            let t = prof.start();
-            let chunk = shards.len().div_ceil(workers);
-            let out = std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .chunks_mut(chunk)
-                    .enumerate()
-                    .map(|(chunk_idx, chunk_shards)| {
-                        let base = chunk_idx * chunk;
-                        scope.spawn(move || {
-                            chunk_shards
-                                .iter_mut()
-                                .enumerate()
-                                .map(|(j, shard)| {
-                                    shard.drain_epoch(
-                                        horizon,
-                                        deadline,
-                                        topology,
-                                        faults,
-                                        home_shard,
-                                        home_local,
-                                        (base + j) as u32,
-                                        oracle,
-                                    )
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("shard worker panicked"))
-                    .collect()
-            });
-            prof.record(ProfCategory::ShardBarrier, t);
-            out
-        };
-        let events = results.iter().map(|(e, _)| e).sum();
-        let last = results.iter().filter_map(|(_, at)| *at).max();
-        (events, last)
-    }
-
-    /// Runs for `span` of simulated time from the current clock.
-    pub fn run_for(&mut self, span: SimDuration) -> RunReport {
-        let deadline = self.clock + span;
-        self.run_until(deadline)
-    }
-
-    /// Runs until every event queue is empty.
-    pub fn run_to_idle(&mut self) -> RunReport {
-        self.run_until(SimTime::MAX)
-    }
-}
-
-impl<M: Message> std::fmt::Debug for ShardedWorld<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedWorld")
-            .field("clock", &self.clock)
-            .field("shards", &self.shards.len())
-            .field("nodes", &self.names.len())
-            .field("lookahead", &self.lookahead())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::node::TimerToken;
+    use crate::determinism::perturbation_key;
+    use crate::link::LinkSpec;
+    use crate::node::{Message, Node, NodeId, TimerToken};
+    use crate::profiler::ProfCategory;
+    use crate::time::{SimDuration, SimTime};
+    use crate::trace::TraceConfig;
+    use crate::world::{Context, StopReason, World};
 
     #[derive(Debug, PartialEq)]
     struct Num(u64);
@@ -958,20 +316,20 @@ mod tests {
 
     /// A star of pingers (spread over shards 1..N when N > 1) around one
     /// echo sink on shard 0, with per-link jitter so RNG draws matter.
-    fn build(shards: u32, pert: Option<u64>, pingers: u32) -> ShardedWorld<Num> {
-        let mut w = ShardedWorld::new(42, shards);
+    fn build(shards: u32, pert: Option<u64>, pingers: u32) -> World<Num> {
+        let mut w = World::with_shards(42, shards);
         if let Some(key) = pert {
             w.set_tie_perturbation(key);
         }
         w.set_trace_config(TraceConfig::enabled());
-        let sink = w.add_node(0, "sink", Echo);
+        let sink = w.add_node_on(0, "sink", Echo);
         for i in 0..pingers {
             let shard = if shards == 1 {
                 0
             } else {
                 1 + (i % (shards - 1))
             };
-            let p = w.add_node(
+            let p = w.add_node_on(
                 shard,
                 format!("pinger{i}"),
                 Pinger {
@@ -1007,7 +365,7 @@ mod tests {
     #[test]
     fn results_are_shard_count_invariant_under_perturbation() {
         for n in 0..4u32 {
-            let key = crate::determinism::perturbation_key(42, n);
+            let key = perturbation_key(42, n);
             let fp = |shards| {
                 let mut w = build(shards, Some(key), 6);
                 w.run_to_idle();
@@ -1067,9 +425,9 @@ mod tests {
 
     #[test]
     fn cross_shard_link_with_zero_propagation_is_rejected() {
-        let mut w: ShardedWorld<Num> = ShardedWorld::new(1, 2);
-        let a = w.add_node(0, "a", Echo);
-        let b = w.add_node(1, "b", Echo);
+        let mut w: World<Num> = World::with_shards(1, 2);
+        let a = w.add_node_on(0, "a", Echo);
+        let b = w.add_node_on(1, "b", Echo);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             w.connect(a, b, LinkSpec::new(1, SimDuration::ZERO));
         }));
@@ -1078,9 +436,9 @@ mod tests {
 
     #[test]
     fn multi_shard_without_cross_link_panics_on_run() {
-        let mut w: ShardedWorld<Num> = ShardedWorld::new(1, 2);
-        w.add_node(0, "a", Echo);
-        w.add_node(1, "b", Echo);
+        let mut w: World<Num> = World::with_shards(1, 2);
+        w.add_node_on(0, "a", Echo);
+        w.add_node_on(1, "b", Echo);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             w.run_to_idle();
         }));
@@ -1137,9 +495,40 @@ mod tests {
         let totals = |shards| {
             let mut w = build(shards, None, 6);
             w.run_to_idle();
-            let m = w.metrics_merged();
+            let m = w.metrics();
             (m.counter("echo.arrivals"), m.counter("pinger.replies"))
         };
         assert_eq!(totals(1), totals(4));
+    }
+
+    #[test]
+    fn fingerprint_digests_the_merged_registry_in_place() {
+        for shards in [1, 2, 4] {
+            let mut w = build(shards, None, 6);
+            w.run_to_idle();
+            assert_eq!(
+                w.fingerprint().metrics,
+                w.metrics().digest(),
+                "{shards} shards"
+            );
+        }
+    }
+
+    #[test]
+    fn injected_events_are_shard_count_invariant() {
+        let fp = |shards| {
+            let mut w = build(shards, None, 4);
+            let (sink, pinger) = (NodeId::from_raw(0), NodeId::from_raw(2));
+            w.post(pinger, sink, Num(3));
+            w.schedule_timer(pinger, SimDuration::from_millis(1), TimerToken::new(9));
+            w.run_until(SimTime::from_millis(4));
+            w.post(sink, pinger, Num(2));
+            w.run_to_idle();
+            w.fingerprint()
+        };
+        let base = fp(1);
+        for shards in [2, 3] {
+            assert_eq!(fp(shards), base, "diverged at {shards} shards");
+        }
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Deterministic.** Ids come from per-sink counters, timestamps from
+//! 1. **Deterministic.** Ids come from per-node counters, timestamps from
 //!    the virtual clock, and storage is an ordered ring buffer — a seeded
 //!    run produces a byte-identical event log every time, on any thread.
 //! 2. **Zero-cost when disabled.** With tracing off (the default),
@@ -106,8 +106,9 @@ pub struct TraceConfig {
     /// Ring-buffer capacity in events; the oldest events are dropped (and
     /// counted) once the buffer is full.
     pub capacity: usize,
-    /// Record every `sample_every`-th trace (1 = every trace). Sampling is
-    /// counter-based, hence deterministic. Values of 0 are treated as 1.
+    /// Record every `sample_every`-th trace of each node (1 = every
+    /// trace). Sampling is counter-based, hence deterministic. Values of 0
+    /// are treated as 1.
     pub sample_every: u64,
 }
 
@@ -131,8 +132,8 @@ impl TraceConfig {
     }
 }
 
-/// Per-node id/sampling state used by the node-keyed id mode (sharded
-/// execution), where ids must not depend on global dispatch interleaving.
+/// Per-node id/sampling state: ids must not depend on global dispatch
+/// interleaving, so each node counts its own traces and spans.
 #[derive(Debug, Clone, Copy, Default)]
 struct NodeTraceState {
     candidates: u64,
@@ -140,10 +141,10 @@ struct NodeTraceState {
     next_span: u32,
 }
 
-/// The global dispatch-order key a sharded run stamps on every recorded
-/// event, so per-shard buffers can be merged into one canonical stream:
-/// `(at, key)` is the executor's total order and `intra` the record index
-/// within one dispatch.
+/// The global dispatch-order key stamped on every recorded event, so
+/// per-shard buffers can be merged into one canonical stream: `(at, key)`
+/// is the executor's total order and `intra` the record index within one
+/// dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub(crate) struct TraceStamp {
     /// Virtual time of the dispatch that recorded the event (nanoseconds).
@@ -154,24 +155,21 @@ pub(crate) struct TraceStamp {
     pub intra: u32,
 }
 
-/// Ring-buffered store of [`TraceEvent`]s, owned by the
+/// Ring-buffered store of [`TraceEvent`]s, one per shard of a
 /// [`World`](crate::World).
+///
+/// Trace and span ids derive from the *recording node*
+/// (`node_raw << 32 | counter`), never from sink-global counters, so they
+/// are identical at any shard count; every recorded event also carries a
+/// [`TraceStamp`] for canonical cross-shard merging.
 #[derive(Debug, Clone, Default)]
 pub struct TraceSink {
     config: TraceConfig,
     events: VecDeque<TraceEvent>,
-    dropped: u64,
-    /// Traces requested via `try_begin_trace` (sampled or not).
-    candidates: u64,
-    next_trace: u64,
-    next_span: u64,
-    /// Node-keyed id mode (sharded execution): ids and sampling counters
-    /// derive from the *recording node* instead of sink-global counters,
-    /// so they are identical at any shard count; every recorded event also
-    /// carries a [`TraceStamp`] for canonical cross-shard merging.
-    node_mode: bool,
-    per_node: std::collections::BTreeMap<u32, NodeTraceState>,
     stamps: VecDeque<TraceStamp>,
+    dropped: u64,
+    /// Indexed by node raw id, grown on first use.
+    per_node: Vec<NodeTraceState>,
     cur_stamp: TraceStamp,
 }
 
@@ -195,6 +193,7 @@ impl TraceSink {
         self.config = config;
         while self.events.len() > self.config.capacity {
             self.events.pop_front();
+            self.stamps.pop_front();
             self.dropped += 1;
         }
     }
@@ -204,20 +203,8 @@ impl TraceSink {
         self.config.enabled
     }
 
-    /// Switches the sink to node-keyed ids and dispatch-order stamps (see
-    /// [`TraceStamp`]). Sharded executor only; must be set before anything
-    /// is recorded.
-    pub(crate) fn enable_node_ids(&mut self) {
-        assert!(
-            self.events.is_empty() && self.candidates == 0,
-            "enable_node_ids must precede any recording"
-        );
-        self.node_mode = true;
-    }
-
-    /// Sets the dispatch-order stamp subsequent pushes are tagged with
-    /// (node-keyed mode only). Called by the sharded executor before every
-    /// node callback.
+    /// Sets the dispatch-order stamp subsequent pushes are tagged with.
+    /// Called by the executor before every node callback.
     pub(crate) fn set_dispatch_stamp(&mut self, at: SimTime, key: u64) {
         self.cur_stamp = TraceStamp {
             at: at.as_nanos(),
@@ -226,49 +213,39 @@ impl TraceSink {
         };
     }
 
-    /// Allocates a new trace id if tracing is enabled and this candidate
-    /// falls on the sampling grid; `None` otherwise. `node` is the
-    /// recording node: in node-keyed mode ids and sampling counters are
-    /// per-node (`node_raw << 32 | counter`), in the default mode it is
-    /// ignored and sink-global counters apply.
+    fn node_state(&mut self, node: NodeId) -> &mut NodeTraceState {
+        let raw = node.as_raw() as usize;
+        if raw >= self.per_node.len() {
+            self.per_node.resize(raw + 1, NodeTraceState::default());
+        }
+        &mut self.per_node[raw]
+    }
+
+    /// Allocates a new trace id (`node_raw << 32 | counter`) if tracing is
+    /// enabled and this candidate falls on `node`'s sampling grid; `None`
+    /// otherwise.
     pub fn try_begin_trace(&mut self, node: NodeId) -> Option<TraceId> {
         if !self.config.enabled {
             return None;
         }
         let every = self.config.sample_every.max(1);
-        if self.node_mode {
-            let state = self.per_node.entry(node.as_raw()).or_default();
-            let candidate = state.candidates;
-            state.candidates += 1;
-            if !candidate.is_multiple_of(every) {
-                return None;
-            }
-            let id = TraceId((node.as_raw() as u64) << 32 | state.next_trace as u64);
-            state.next_trace += 1;
-            return Some(id);
-        }
-        let candidate = self.candidates;
-        self.candidates += 1;
+        let state = self.node_state(node);
+        let candidate = state.candidates;
+        state.candidates += 1;
         if !candidate.is_multiple_of(every) {
             return None;
         }
-        let id = TraceId(self.next_trace);
-        self.next_trace += 1;
+        let id = TraceId((node.as_raw() as u64) << 32 | state.next_trace as u64);
+        state.next_trace += 1;
         Some(id)
     }
 
-    /// Allocates the next span id (unique within the run). In node-keyed
-    /// mode the id is `node_raw << 32 | counter`; otherwise `node` is
-    /// ignored and a sink-global counter applies.
+    /// Allocates the next span id of `node` (`node_raw << 32 | counter`,
+    /// unique within the run).
     pub fn next_span_id(&mut self, node: NodeId) -> SpanId {
-        if self.node_mode {
-            let state = self.per_node.entry(node.as_raw()).or_default();
-            let id = SpanId((node.as_raw() as u64) << 32 | state.next_span as u64);
-            state.next_span += 1;
-            return id;
-        }
-        let id = SpanId(self.next_span);
-        self.next_span += 1;
+        let state = self.node_state(node);
+        let id = SpanId((node.as_raw() as u64) << 32 | state.next_span as u64);
+        state.next_span += 1;
         id
     }
 
@@ -283,16 +260,12 @@ impl TraceSink {
         }
         if self.events.len() >= self.config.capacity {
             self.events.pop_front();
+            self.stamps.pop_front();
             self.dropped += 1;
-            if self.node_mode {
-                self.stamps.pop_front();
-            }
         }
-        if self.node_mode {
-            let stamp = self.cur_stamp;
-            self.cur_stamp.intra += 1;
-            self.stamps.push_back(stamp);
-        }
+        let stamp = self.cur_stamp;
+        self.cur_stamp.intra += 1;
+        self.stamps.push_back(stamp);
         self.events.push_back(event);
     }
 
@@ -318,14 +291,7 @@ impl TraceSink {
 
     /// Traces begun (post-sampling) so far.
     pub fn traces_started(&self) -> u64 {
-        if self.node_mode {
-            return self
-                .per_node
-                .values()
-                .map(|s| s.next_trace as u64)
-                .sum::<u64>();
-        }
-        self.next_trace
+        self.per_node.iter().map(|s| s.next_trace as u64).sum()
     }
 
     /// Removes and returns all buffered events, oldest first.
@@ -335,63 +301,45 @@ impl TraceSink {
     }
 
     /// Removes and returns all buffered events paired with their dispatch
-    /// stamps (node-keyed mode only), oldest first. The sharded executor
-    /// k-way-merges these by stamp into the canonical global stream.
+    /// stamps, oldest first. The executor merges these by stamp into the
+    /// canonical global stream.
     pub(crate) fn drain_stamped(&mut self) -> Vec<(TraceStamp, TraceEvent)> {
-        debug_assert!(self.node_mode, "drain_stamped requires node-keyed mode");
-        debug_assert_eq!(self.stamps.len(), self.events.len());
         self.stamps.drain(..).zip(self.events.drain(..)).collect()
     }
 
-    /// Non-destructive view of the buffered events paired with their
-    /// dispatch stamps (node-keyed mode only), oldest first. Feeds the
-    /// sharded world's merged trace digest.
-    pub(crate) fn stamped_events(&self) -> impl Iterator<Item = (&TraceStamp, &TraceEvent)> {
-        debug_assert!(self.node_mode, "stamped_events requires node-keyed mode");
-        self.stamps.iter().zip(self.events.iter())
-    }
-
-    /// Order-insensitive fold of the sink's bookkeeping counters —
-    /// `(dropped, candidates, traces started, spans allocated)` — summing
-    /// per-node state in node-keyed mode. Feeds the sharded world's merged
-    /// trace digest.
-    pub(crate) fn counters_fold(&self) -> (u64, u64, u64, u64) {
-        if self.node_mode {
-            let (mut cand, mut traces, mut spans) = (0u64, 0u64, 0u64);
-            for s in self.per_node.values() {
-                cand += s.candidates;
+    /// Stable 64-bit digest of the merged event stream of `sinks` (in
+    /// stamp order) plus their summed drop/candidate/id counters, used by
+    /// run fingerprints. Returns 0 when no sink has recorded anything, so
+    /// untraced runs compare trivially equal.
+    pub(crate) fn digest_merged(sinks: &[&TraceSink]) -> u64 {
+        let (mut dropped, mut candidates, mut traces, mut spans) = (0u64, 0u64, 0u64, 0u64);
+        for sink in sinks {
+            dropped += sink.dropped;
+            for s in &sink.per_node {
+                candidates += s.candidates;
                 traces += s.next_trace as u64;
                 spans += s.next_span as u64;
             }
-            return (self.dropped, cand, traces, spans);
         }
-        (
-            self.dropped,
-            self.candidates,
-            self.next_trace,
-            self.next_span,
-        )
-    }
-
-    /// Stable 64-bit digest of the buffered event log (order-sensitive)
-    /// plus the drop/candidate counters, used by the schedule-perturbation
-    /// race detector to compare runs. Returns 0 when the sink has never
-    /// recorded anything, so untraced runs compare trivially equal.
-    pub fn digest(&self) -> u64 {
-        if self.events.is_empty() && self.dropped == 0 && self.candidates == 0 {
+        if dropped == 0 && candidates == 0 && sinks.iter().all(|s| s.events.is_empty()) {
             return 0;
         }
+        let mut stamped: Vec<_> = sinks
+            .iter()
+            .flat_map(|s| s.stamps.iter().zip(s.events.iter()))
+            .collect();
+        stamped.sort_unstable_by_key(|(stamp, _)| **stamp);
         let mut h = crate::determinism::Fnv64::new();
-        h.write_u64(self.dropped);
-        h.write_u64(self.candidates);
-        h.write_u64(self.next_trace);
-        h.write_u64(self.next_span);
-        for e in &self.events {
+        h.write_u64(dropped);
+        h.write_u64(candidates);
+        h.write_u64(traces);
+        h.write_u64(spans);
+        for (_, e) in stamped {
             h.write_u64(e.at.as_nanos());
             h.write_u64(e.trace.0);
             h.write_u64(e.span.0);
             h.write_u64(e.parent.map_or(u64::MAX, |p| p.0));
-            h.write_u64(e.node.index() as u64);
+            h.write_u64(e.node.as_raw() as u64);
             h.write(e.kind.as_bytes());
             h.write(e.phase.as_str().as_bytes());
         }
@@ -426,13 +374,15 @@ mod tests {
     }
 
     #[test]
-    fn trace_and_span_ids_are_sequential() {
+    fn trace_and_span_ids_are_node_keyed() {
         let mut sink = TraceSink::new(TraceConfig::enabled());
-        assert_eq!(sink.try_begin_trace(NodeId::from_raw(0)), Some(TraceId(0)));
-        assert_eq!(sink.try_begin_trace(NodeId::from_raw(7)), Some(TraceId(1)));
-        assert_eq!(sink.next_span_id(NodeId::from_raw(0)), SpanId(0));
-        assert_eq!(sink.next_span_id(NodeId::from_raw(7)), SpanId(1));
-        assert_eq!(sink.traces_started(), 2);
+        let (a, b) = (NodeId::from_raw(0), NodeId::from_raw(7));
+        assert_eq!(sink.try_begin_trace(a), Some(TraceId(0)));
+        assert_eq!(sink.try_begin_trace(b), Some(TraceId(7 << 32)));
+        assert_eq!(sink.try_begin_trace(b), Some(TraceId(7 << 32 | 1)));
+        assert_eq!(sink.next_span_id(a), SpanId(0));
+        assert_eq!(sink.next_span_id(b), SpanId(7 << 32));
+        assert_eq!(sink.traces_started(), 3);
     }
 
     #[test]

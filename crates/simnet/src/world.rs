@@ -1,4 +1,12 @@
 //! The simulation world: node table, topology, clock and event loop.
+//!
+//! One executor runs every simulation: a [`World`] of one or more shards
+//! (the `shard` module documents the epoch protocol and the determinism
+//! contract). [`World::new`] is one shard; [`World::with_shards`] splits
+//! the node table so a run can fan out over threads, with bitwise
+//! identical results at any shard and thread count.
+
+use std::borrow::Cow;
 
 use crate::determinism::{perturbation_key, DeterminismReport, Fingerprint, PerturbedRun};
 use crate::event::{EventKind, EventQueue};
@@ -7,7 +15,8 @@ use crate::link::{LinkSerializer, LinkSpec, Topology};
 use crate::metrics::{keys, Metrics, MetricsConfig};
 use crate::node::{Message, Node, NodeId, TimerToken};
 use crate::profiler::{ProfCategory, ProfTimer, ProfileReport, Profiler};
-use crate::rng::{mix64, SimRng};
+use crate::rng::{mix64, KeyStream, SimRng};
+use crate::shard::{node_stream, Outbound, Shard, Wiring};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{SpanCtx, TraceConfig, TraceEvent, TracePhase, TraceSink};
 
@@ -33,24 +42,30 @@ pub struct RunReport {
     pub now: SimTime,
 }
 
-/// A cross-shard event staged in a shard's outbox during an epoch, to be
-/// delivered into the destination shard's queue at the next barrier.
-pub(crate) struct Outbound<M> {
-    pub at: SimTime,
-    /// Intrinsic canonical tie-break key (see [`InstantKeys`]).
-    pub key: u64,
-    pub dst_shard: u32,
-    pub kind: EventKind<M>,
-}
-
 /// Domain separator folded into message keys (arbitrary odd constant).
 const MSG_DOMAIN: u64 = 0xD6E8_FEB8_6659_FD93;
 /// Domain separator folded into timer keys (arbitrary odd constant).
 const TIMER_DOMAIN: u64 = 0xA24B_AED4_963E_E407;
 
-/// Allocator of **intrinsic canonical tie-break keys** for the sharded
-/// executor (one per shard; the plain [`World`] keeps FIFO sequence
-/// numbers).
+/// One slot of [`InstantKeys`]' open-addressed table.
+#[derive(Debug, Clone, Copy, Default)]
+struct KeySlot {
+    /// Hash of the event's `(domain, a, b)` tuple at the current instant.
+    tag: u64,
+    /// Instant generation the slot belongs to; any other value is empty.
+    generation: u32,
+    /// Repeats of the tuple minted so far this instant.
+    count: u32,
+}
+
+/// Slots a fresh table starts with (and shrinks back to).
+const KEY_TABLE_MIN: usize = 64;
+/// A table above this many slots shrinks once an instant uses under a
+/// sixteenth of it, so one burst (every client arming its whole schedule
+/// at instant 0) does not pin its memory for the rest of the run.
+const KEY_TABLE_SHRINK: usize = 4096;
+
+/// Allocator of **intrinsic canonical tie-break keys** (one per shard).
 ///
 /// An event's key is a hash of its *identity in the schedule*, not of the
 /// callback that created it: a message is `(send instant, sender,
@@ -67,54 +82,104 @@ const TIMER_DOMAIN: u64 = 0xA24B_AED4_963E_E407;
 /// Keys are distinct with overwhelming probability (64-bit birthday bound
 /// at simulation event counts); the repeat counter keeps the only
 /// systematic collision source (identical tuple, same instant) apart.
-#[derive(Debug, Default)]
+///
+/// The repeat counters live in a linear-probing table keyed by the tuple's
+/// hash, whose slots carry the generation of the instant that wrote them:
+/// moving to a new instant bumps the generation, which empties every slot
+/// at once, so the per-instant reset costs nothing however large an
+/// earlier burst grew the table.
+#[derive(Debug)]
 pub(crate) struct InstantKeys {
-    /// Instant the repeat counters refer to; counters reset when the
-    /// shard's dispatch time moves on.
-    stamp: Option<SimTime>,
-    /// `(domain, a, b)` → repeats minted at `stamp`. Never iterated, so
-    /// the map's ordering cannot leak into results.
-    counts: std::collections::HashMap<(u64, u64, u64), u64>,
+    /// Instant the repeat counters refer to.
+    now: SimTime,
+    /// Generation of `now`; slots stamped with another one are empty.
+    generation: u32,
+    /// Live slots this instant.
+    live: usize,
+    /// Power-of-two sized, or empty before the first key.
+    slots: Vec<KeySlot>,
+}
+
+impl Default for InstantKeys {
+    fn default() -> Self {
+        InstantKeys {
+            now: SimTime::ZERO,
+            generation: 1,
+            live: 0,
+            slots: Vec::new(),
+        }
+    }
 }
 
 impl InstantKeys {
     fn next(&mut self, now: SimTime, domain: u64, a: u64, b: u64) -> u64 {
-        if self.stamp != Some(now) {
-            self.counts.clear();
-            self.stamp = Some(now);
+        if now != self.now {
+            self.advance(now);
         }
-        let k = self.counts.entry((domain, a, b)).or_insert(0);
-        let key = mix64(mix64(mix64(mix64(domain ^ now.as_nanos()) ^ a) ^ b) ^ *k);
-        *k += 1;
-        key
+        let tag = mix64(mix64(mix64(domain ^ now.as_nanos()) ^ a) ^ b);
+        if (self.live + 1) * 4 > self.slots.len() * 3 {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = tag as usize & mask;
+        loop {
+            let slot = &mut self.slots[i];
+            if slot.generation != self.generation {
+                *slot = KeySlot {
+                    tag,
+                    generation: self.generation,
+                    count: 1,
+                };
+                self.live += 1;
+                return mix64(tag);
+            }
+            if slot.tag == tag {
+                let k = slot.count;
+                slot.count += 1;
+                return mix64(tag ^ u64::from(k));
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Moves the counters to a new instant: O(1), except the rare shrink
+    /// after a burst and a full wipe once every 2^32 instants.
+    fn advance(&mut self, now: SimTime) {
+        if self.slots.len() > KEY_TABLE_SHRINK && self.live * 16 < self.slots.len() {
+            self.slots = vec![KeySlot::default(); KEY_TABLE_MIN];
+        }
+        self.now = now;
+        self.live = 0;
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.slots.fill(KeySlot::default());
+            self.generation = 1;
+        }
+    }
+
+    /// Doubles the table, re-placing this instant's live slots.
+    fn grow(&mut self) {
+        let size = (self.slots.len() * 2).max(KEY_TABLE_MIN);
+        let old = std::mem::replace(&mut self.slots, vec![KeySlot::default(); size]);
+        let mask = size - 1;
+        for slot in old.into_iter().filter(|s| s.generation == self.generation) {
+            let mut i = slot.tag as usize & mask;
+            while self.slots[i].generation == self.generation {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = slot;
+        }
     }
 
     /// Key of a message sent `from → to` at `now`.
-    fn next_msg(&mut self, now: SimTime, from: NodeId, to: NodeId) -> u64 {
+    pub(crate) fn next_msg(&mut self, now: SimTime, from: NodeId, to: NodeId) -> u64 {
         self.next(now, MSG_DOMAIN, from.as_raw() as u64, to.as_raw() as u64)
     }
 
     /// Key of a timer armed on `node` at `now` carrying `token`.
-    fn next_timer(&mut self, now: SimTime, node: NodeId, token: TimerToken) -> u64 {
+    pub(crate) fn next_timer(&mut self, now: SimTime, node: NodeId, token: TimerToken) -> u64 {
         self.next(now, TIMER_DOMAIN, node.as_raw() as u64, token.get())
     }
-}
-
-/// Sharded-execution routing state threaded into a [`Context`] by the
-/// sharded executor ([`crate::ShardedWorld`]). `None` in a plain
-/// [`World`], whose scheduling path is byte-for-byte the pre-shard one.
-pub(crate) struct RouteRef<'a, M> {
-    /// Shard that owns the executing node.
-    pub self_shard: u32,
-    /// Global node raw index → owning shard.
-    pub home: &'a [u32],
-    /// World seed; sharded sends fold it into their key-derived one-shot
-    /// randomness streams.
-    pub seed: u64,
-    /// The owning shard's intrinsic key allocator (see [`InstantKeys`]).
-    pub keys: &'a mut InstantKeys,
-    /// Staging area for cross-shard sends (drained at the epoch barrier).
-    pub outbox: &'a mut Vec<Outbound<M>>,
 }
 
 /// The execution environment handed to node callbacks.
@@ -124,7 +189,17 @@ pub(crate) struct RouteRef<'a, M> {
 pub struct Context<'a, M: Message> {
     pub(crate) now: SimTime,
     pub(crate) self_id: NodeId,
+    /// Shard that owns the executing node.
+    pub(crate) self_shard: u32,
+    /// Global node raw index → owning shard.
+    pub(crate) home: &'a [u32],
+    /// World seed, folded into each send's key-derived draws.
+    pub(crate) seed: u64,
+    /// The owning shard's intrinsic key allocator (see [`InstantKeys`]).
+    pub(crate) keys: &'a mut InstantKeys,
     pub(crate) queue: &'a mut EventQueue<M>,
+    /// Staging area for cross-shard sends (drained at the epoch barrier).
+    pub(crate) outbox: &'a mut Vec<Outbound<M>>,
     pub(crate) topology: &'a Topology,
     pub(crate) faults: &'a FaultPlan,
     pub(crate) links: &'a mut LinkSerializer,
@@ -135,8 +210,6 @@ pub struct Context<'a, M: Message> {
     /// Span context of the event being dispatched; attached to every
     /// message/timer this callback schedules so causality propagates.
     pub(crate) span: Option<SpanCtx>,
-    /// Sharded routing (see [`RouteRef`]); `None` in a plain world.
-    pub(crate) route: Option<RouteRef<'a, M>>,
 }
 
 impl<M: Message> std::fmt::Debug for Context<'_, M> {
@@ -178,58 +251,43 @@ impl<'a, M: Message> Context<'a, M> {
     ///
     /// Panics if no link connects this node to `to`.
     pub fn send_after(&mut self, local_delay: SimDuration, to: NodeId, msg: M) {
-        // Profiler attribution: link lookup, fault/loss/delay resolution
-        // and the queue push charge to `link+fault.resolve`; the metric
-        // increments account for themselves (`metrics.record`), so each
-        // timer stops before recording.
+        // Profiler attribution: key minting, link lookup, fault/loss/delay
+        // resolution and the queue push charge to `link+fault.resolve`;
+        // the metric increments account for themselves (`metrics.record`),
+        // so each timer stops before recording.
         let t = self.prof.start();
         let link = self
             .topology
             .link(self.self_id, to)
             .unwrap_or_else(|| panic!("no link {} -> {}", self.self_id, to));
-        // A sharded send draws its loss and jitter from a one-shot stream
-        // seeded by its intrinsic canonical key (see [`InstantKeys`]): the
-        // draw is a pure function of the message's identity — (instant,
-        // sender, receiver, repeat) — so two callbacks tied on one
-        // nanosecond cannot couple through a shared stream in either
-        // dispatch order. A dropped send still consumes its key — loss
-        // must not shift the repeat counter for later same-pair sends.
-        // Plain worlds keep the global stream (byte-for-byte the
-        // pre-shard path).
-        let (now, self_id) = (self.now, self.self_id);
-        let mut keyed: Option<(u64, SimRng)> = self.route.as_mut().map(|route| {
-            let key = route.keys.next_msg(now, self_id, to);
-            (key, SimRng::seed_from(mix64(route.seed ^ key)))
-        });
-        let rng: &mut SimRng = match keyed.as_mut() {
-            Some((_, rng)) => rng,
-            None => &mut *self.rng,
-        };
+        // The send's tie-break key and its loss and jitter draws are pure
+        // functions of the message's identity — (instant, sender,
+        // receiver, repeat) — so two callbacks tied on one nanosecond
+        // cannot couple through a shared stream in either dispatch order.
+        // A dropped send still consumes its key: loss must not shift the
+        // repeat counter for later same-pair sends.
+        let key = self.keys.next_msg(self.now, self.self_id, to);
+        let mut draws = KeyStream::new(self.seed, key);
         // Fault windows are evaluated at send time. The empty-plan path
-        // draws no randomness and records no metrics, so a world without a
+        // draws nothing and records no metrics, so a world without a
         // FaultPlan is bit-identical to one predating fault injection.
         let mut fault_delay = SimDuration::ZERO;
         if !self.faults.is_empty() {
             let effect = self.faults.effect(self.self_id, to, self.now);
-            if effect.down {
-                self.prof.record(ProfCategory::LinkFault, t);
-                self.metrics.incr_id(keys::id::NET_FAULT_DROPPED, 1);
-                return;
-            }
-            if effect.loss > 0.0 && rng.chance(effect.loss) {
+            if effect.down || (effect.loss > 0.0 && draws.chance(effect.loss)) {
                 self.prof.record(ProfCategory::LinkFault, t);
                 self.metrics.incr_id(keys::id::NET_FAULT_DROPPED, 1);
                 return;
             }
             fault_delay = effect.extra_delay;
         }
-        if link.sample_loss(rng) {
+        if link.sample_loss(&mut draws) {
             self.prof.record(ProfCategory::LinkFault, t);
             self.metrics.incr_id(keys::id::NET_DROPPED, 1);
             return;
         }
         let wire = msg.wire_size();
-        let owd = link.sample_owd(wire, rng);
+        let owd = link.sample_owd(wire, &mut draws);
         // The link delivers serially: an arrival that lands on an occupied
         // nanosecond is bumped to the next free one, so same-pair messages
         // never tie at the receiver (see [`LinkSerializer`]).
@@ -245,26 +303,18 @@ impl<'a, M: Message> Context<'a, M> {
             msg,
             span: self.span,
         };
-        match &mut self.route {
-            None => self.queue.push(at, kind),
-            Some(route) => {
-                // Sharded: the intrinsic tie-break key is a property of
-                // the message's identity, not of queue insertion order, so
-                // simultaneous events pop identically at any shard count.
-                // Cross-shard events stage in the outbox and enter the
-                // destination queue at the epoch barrier.
-                let key = keyed.map(|(key, _)| key).expect("sharded send has a key");
-                if route.home[to.index()] == route.self_shard {
-                    self.queue.push_keyed(at, key, kind);
-                } else {
-                    route.outbox.push(Outbound {
-                        at,
-                        key,
-                        dst_shard: route.home[to.index()],
-                        kind,
-                    });
-                }
-            }
+        // Cross-shard events stage in the outbox and enter the destination
+        // queue at the epoch barrier.
+        let dst_shard = self.home[to.index()];
+        if dst_shard == self.self_shard {
+            self.queue.push(at, key, kind);
+        } else {
+            self.outbox.push(Outbound {
+                at,
+                key,
+                dst_shard,
+                kind,
+            });
         }
         self.prof.record(ProfCategory::LinkFault, t);
         // Counter order relative to the push is digest-invisible (counters
@@ -288,22 +338,18 @@ impl<'a, M: Message> Context<'a, M> {
 
     /// Arms a timer on this node that fires after `delay`.
     pub fn schedule(&mut self, delay: SimDuration, token: TimerToken) {
+        // Timers are always shard-local (a node arms only itself).
+        let key = self.keys.next_timer(self.now, self.self_id, token);
         let kind = EventKind::Timer {
             node: self.self_id,
             token,
             span: self.span,
         };
-        match &mut self.route {
-            None => self.queue.push(self.now + delay, kind),
-            Some(route) => {
-                // Timers are always shard-local (a node arms only itself).
-                let key = route.keys.next_timer(self.now, self.self_id, token);
-                self.queue.push_keyed(self.now + delay, key, kind);
-            }
-        }
+        self.queue.push(self.now + delay, key, kind);
     }
 
-    /// Deterministic randomness shared by the run.
+    /// This node's deterministic randomness stream, seeded by the world
+    /// seed and the node id.
     pub fn rng(&mut self) -> &mut SimRng {
         self.rng
     }
@@ -473,6 +519,11 @@ impl<'a, M: Message> Context<'a, M> {
 
 /// A complete simulated deployment: nodes, links, clock and metrics.
 ///
+/// The node table is split over one or more shards that advance in
+/// lookahead-sized epochs and exchange traffic through deterministic
+/// mailboxes: [`World::new`] is one shard, [`World::with_shards`] more. Results are
+/// bitwise identical at any shard and thread count.
+///
 /// # Examples
 ///
 /// ```
@@ -502,46 +553,65 @@ impl<'a, M: Message> Context<'a, M> {
 /// assert_eq!(report.events, 4);
 /// ```
 pub struct World<M: Message> {
-    clock: SimTime,
-    queue: EventQueue<M>,
-    nodes: Vec<Option<Box<dyn Node<M>>>>,
+    shards: Vec<Shard<M>>,
+    /// Global node raw index → owning shard.
+    home_shard: Vec<u32>,
+    /// Global node raw index → local index within its shard.
+    home_local: Vec<u32>,
     names: Vec<String>,
     topology: Topology,
     faults: FaultPlan,
-    links: LinkSerializer,
-    rng: SimRng,
-    metrics: Metrics,
-    trace: TraceSink,
-    prof: Profiler,
+    seed: u64,
+    clock: SimTime,
     started: bool,
+    /// Minimum propagation delay over cross-shard links, tracked at
+    /// `connect` time. `None` until the first cross-shard link exists.
+    min_cross_owd: Option<SimDuration>,
+    lookahead_override: Option<SimDuration>,
+    threads: usize,
+    oracle: bool,
+    tie_perturbation: Option<u64>,
+    /// Coordinator-level profiler: epoch barriers and mailbox drains.
+    prof: Profiler,
     event_cap: u64,
-    /// Events processed across all `run_*` calls (for fingerprints).
-    processed: u64,
 }
 
 impl<M: Message> World<M> {
-    /// Creates an empty world with the given RNG seed.
+    /// Creates an empty one-shard world with the given RNG seed.
     pub fn new(seed: u64) -> Self {
+        World::with_shards(seed, 1)
+    }
+
+    /// Creates an empty world with `shard_count` shards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard_count` is zero.
+    pub fn with_shards(seed: u64, shard_count: u32) -> Self {
+        assert!(shard_count > 0, "a world needs at least one shard");
         World {
-            clock: SimTime::ZERO,
-            queue: EventQueue::new(),
-            nodes: Vec::new(),
+            shards: (0..shard_count).map(|_| Shard::new(seed)).collect(),
+            home_shard: Vec::new(),
+            home_local: Vec::new(),
             names: Vec::new(),
             topology: Topology::new(),
             faults: FaultPlan::new(),
-            links: LinkSerializer::default(),
-            rng: SimRng::seed_from(seed),
-            metrics: Metrics::new(),
-            trace: TraceSink::default(),
-            prof: Profiler::new(),
+            seed,
+            clock: SimTime::ZERO,
             started: false,
+            min_cross_owd: None,
+            lookahead_override: None,
+            threads: 1,
+            oracle: false,
+            tie_perturbation: None,
+            prof: Profiler::new(),
             event_cap: u64::MAX,
-            processed: 0,
         }
     }
 
-    /// Replaces FIFO tie-breaking for same-timestamp events with a seeded
-    /// bijective permutation. Events at distinct timestamps are unaffected.
+    /// Replaces the canonical tie-break order for same-timestamp events
+    /// with a seeded bijective permutation of the keys. Events at distinct
+    /// timestamps are unaffected.
     ///
     /// This is the schedule-perturbation race detector's knob (normally
     /// driven via [`check_determinism`](Self::check_determinism)): a world
@@ -554,15 +624,18 @@ impl<M: Message> World<M> {
     /// perturbation must cover the whole schedule to be meaningful.
     pub fn set_tie_perturbation(&mut self, key: u64) {
         assert!(
-            !self.started && self.queue.is_empty(),
+            !self.started && self.pending_events() == 0,
             "set_tie_perturbation must be called before any event is scheduled"
         );
-        self.queue.set_perturbation(Some(key));
+        self.tie_perturbation = Some(key);
+        for shard in &mut self.shards {
+            shard.queue.set_perturbation(Some(key));
+        }
     }
 
     /// The active tie-break perturbation key, if any.
     pub fn tie_perturbation(&self) -> Option<u64> {
-        self.queue.perturbation()
+        self.tie_perturbation
     }
 
     /// Mirrors every event-queue operation of this run against the frozen
@@ -577,33 +650,77 @@ impl<M: Message> World<M> {
     /// the whole schedule to mirror it.
     pub fn enable_queue_oracle(&mut self) {
         assert!(
-            !self.started && self.queue.is_empty(),
+            !self.started && self.pending_events() == 0,
             "enable_queue_oracle must be called before any event is scheduled"
         );
-        self.queue.enable_oracle();
-    }
-
-    /// Digest of everything the determinism contract covers: metric
-    /// content, trace log, final clock and events processed.
-    pub fn fingerprint(&self) -> Fingerprint {
-        Fingerprint {
-            clock_ns: self.clock.as_nanos(),
-            events: self.processed,
-            metrics: self.metrics.digest(),
-            trace: self.trace.digest(),
+        for shard in &mut self.shards {
+            shard.queue.enable_oracle();
         }
     }
 
-    /// Runs `scenario` once with FIFO tie-breaking and `perturbations`
-    /// more times under distinct seeded tie-break permutations, comparing
-    /// run [`Fingerprint`]s.
+    /// Turns on the shard-protocol oracle: every dispatch is checked for
+    /// strictly increasing `(at, key)` order per shard, and every mailbox
+    /// delivery is checked against the destination shard's completed
+    /// horizon. A violated check panics with the offending pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run has started.
+    pub fn enable_shard_oracle(&mut self) {
+        assert!(
+            !self.started,
+            "enable_shard_oracle must be called before the run starts"
+        );
+        self.oracle = true;
+    }
+
+    /// Overrides the computed lookahead. **Testing knob**: claiming a
+    /// larger-than-true lookahead breaks the epoch-safety argument, which
+    /// is precisely how the oracle tests manufacture a real interleaving
+    /// bug. Never use this to "tune" a run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run has started or `lookahead` is zero.
+    pub fn override_lookahead(&mut self, lookahead: SimDuration) {
+        assert!(!self.started, "override_lookahead after the run started");
+        assert!(lookahead > SimDuration::ZERO, "lookahead must be positive");
+        self.lookahead_override = Some(lookahead);
+    }
+
+    /// Sets how many worker threads epochs may fan out over (default 1:
+    /// the sequential executor). The thread count never changes results —
+    /// shards are data-independent within an epoch and mailboxes are
+    /// drained by the coordinator in shard order.
+    pub fn set_threads(&mut self, threads: usize) {
+        self.threads = threads.max(1);
+    }
+
+    /// Digest of everything the determinism contract covers, merged across
+    /// shards: metric content, canonical trace stream, final clock and
+    /// events processed. Equal at any shard and thread count. Computed in
+    /// place: no registry is cloned.
+    pub fn fingerprint(&self) -> Fingerprint {
+        let metrics: Vec<&Metrics> = self.shards.iter().map(|s| &s.metrics).collect();
+        let traces: Vec<&TraceSink> = self.shards.iter().map(|s| &s.trace).collect();
+        Fingerprint {
+            clock_ns: self.clock.as_nanos(),
+            events: self.events_processed(),
+            metrics: Metrics::digest_merged(&metrics),
+            trace: TraceSink::digest_merged(&traces),
+        }
+    }
+
+    /// Runs `scenario` once in canonical tie-break order and
+    /// `perturbations` more times under distinct seeded tie-break
+    /// permutations, comparing run [`Fingerprint`]s.
     ///
     /// `scenario` receives a freshly seeded empty world each time and must
     /// build and run it (add nodes, connect links, call `run_*`). Any
     /// divergence between a perturbed run and the baseline means the
     /// scenario's results depend on the processing order of same-timestamp
     /// events — a hidden ordering race. See the [`determinism`]
-    /// (crate::determinism) module docs for the RNG-coupling caveat.
+    /// (crate::determinism) module docs.
     pub fn check_determinism(
         seed: u64,
         perturbations: u32,
@@ -642,14 +759,19 @@ impl<M: Message> World<M> {
         &self.faults
     }
 
-    /// Configures the trace sink (enable/disable, capacity, sampling).
-    /// Normally called once, before the run starts.
+    /// Configures tracing on every shard's sink (enable/disable, capacity,
+    /// sampling). Normally called once, before the run starts. The
+    /// capacity is per shard: size it for the run, because ring-buffer
+    /// eviction per shard *is* shard-count-sensitive.
     pub fn set_trace_config(&mut self, config: TraceConfig) {
-        self.trace.set_config(config);
+        for shard in &mut self.shards {
+            shard.trace.set_config(config);
+        }
     }
 
-    /// Configures the metric registry (histogram mode, sketch oracle,
-    /// series capacity). Must be called before any metric is recorded.
+    /// Configures every shard's metric registry (histogram mode, sketch
+    /// oracle, series capacity). Must be called before any metric is
+    /// recorded.
     ///
     /// # Panics
     ///
@@ -660,17 +782,22 @@ impl<M: Message> World<M> {
             !self.started,
             "set_metrics_config must be called before the run starts"
         );
-        self.metrics.set_config(config);
+        for shard in &mut self.shards {
+            shard.metrics.set_config(config.clone());
+        }
     }
 
-    /// Turns on the sim-loop self-profiler (see [`crate::Profiler`]): the
-    /// event loop, `Context` hot paths and the metric registry start
-    /// attributing host wall-clock to subsystems. Simulation outputs are
-    /// unaffected — the profiler reads the host clock but never feeds it
-    /// back into sim state.
+    /// Turns on the sim-loop self-profiler (see [`crate::Profiler`]) on the
+    /// coordinator (epoch barriers, mailbox drains) and on every shard
+    /// (dispatch, queue, trace, …). Simulation outputs are unaffected —
+    /// the profiler reads the host clock but never feeds it back into sim
+    /// state.
     pub fn enable_profiler(&mut self) {
         self.prof.enable();
-        self.metrics.enable_self_profile();
+        for shard in &mut self.shards {
+            shard.prof.enable();
+            shard.metrics.enable_self_profile();
+        }
     }
 
     /// Whether the self-profiler is on.
@@ -678,55 +805,109 @@ impl<M: Message> World<M> {
         self.prof.is_enabled()
     }
 
-    /// Snapshot of the self-profiler's attribution. Metric-registry
-    /// self-time (accumulated inside [`Metrics`]) is folded into the
-    /// [`ProfCategory::Metrics`] row here.
+    /// Merged profiler attribution: all shard profilers, the coordinator's
+    /// barrier/mailbox rows, and metric-registry self-time (folded into
+    /// the [`ProfCategory::Metrics`] row).
     pub fn profile_report(&self) -> ProfileReport {
         let mut report = self.prof.report();
-        let (nanos, calls) = self.metrics.self_profile();
-        report.nanos[ProfCategory::Metrics as usize] += nanos;
-        report.calls[ProfCategory::Metrics as usize] += calls;
+        for shard in &self.shards {
+            report.merge(&shard.prof.report());
+            let (nanos, calls) = shard.metrics.self_profile();
+            report.nanos[ProfCategory::Metrics as usize] += nanos;
+            report.calls[ProfCategory::Metrics as usize] += calls;
+        }
         report
     }
 
-    /// Read access to the trace sink.
+    /// Read access to shard 0's trace sink: the whole sink of a one-shard
+    /// world. A split world's sinks share one config but buffer their own
+    /// shard's events; [`take_trace_events`](Self::take_trace_events)
+    /// merges them.
     pub fn trace(&self) -> &TraceSink {
-        &self.trace
+        &self.shards[0].trace
     }
 
-    /// Removes and returns all buffered trace events, oldest first.
+    /// Removes and returns all buffered trace events merged into the
+    /// canonical global dispatch order (by `(at, key, intra)` stamp).
     pub fn take_trace_events(&mut self) -> Vec<TraceEvent> {
-        self.trace.drain()
+        let mut stamped: Vec<_> = self
+            .shards
+            .iter_mut()
+            .flat_map(|s| s.trace.drain_stamped())
+            .collect();
+        stamped.sort_unstable_by_key(|(stamp, _)| *stamp);
+        stamped.into_iter().map(|(_, ev)| ev).collect()
     }
 
-    /// Limits the total number of events a run may process. Exceeding the
-    /// cap stops the loop with [`StopReason::EventCap`].
+    /// Limits the number of events one `run_*` call may process. Exceeding
+    /// the cap stops the loop with [`StopReason::EventCap`]. A one-shard
+    /// world stops exactly at the cap; a split world enforces it per
+    /// epoch, so its stop point depends on the shard count — it is runaway
+    /// protection, not a precision instrument.
     pub fn set_event_cap(&mut self, cap: u64) {
         self.event_cap = cap;
     }
 
-    /// Registers a node and returns its id.
+    /// Registers a node on shard 0 and returns its id.
     pub fn add_node(&mut self, name: impl Into<String>, node: impl Node<M> + 'static) -> NodeId {
-        let id = NodeId::from_raw(self.nodes.len() as u32);
-        self.nodes.push(Some(Box::new(node)));
+        self.add_node_on(0, name, node)
+    }
+
+    /// Registers a node on `shard` and returns its (global) id. Ids are
+    /// assigned densely in call order, independent of the shard argument —
+    /// the same build sequence yields the same ids at any shard count. A
+    /// node added after the run started never gets `on_start`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is out of range.
+    pub fn add_node_on(
+        &mut self,
+        shard: u32,
+        name: impl Into<String>,
+        node: impl Node<M> + 'static,
+    ) -> NodeId {
+        assert!(
+            (shard as usize) < self.shards.len(),
+            "shard {shard} out of range"
+        );
+        let id = NodeId::from_raw(self.home_shard.len() as u32);
+        let s = &mut self.shards[shard as usize];
+        self.home_shard.push(shard);
+        self.home_local.push(s.nodes.len() as u32);
+        s.nodes.push(Some(Box::new(node)));
+        s.node_ids.push(id);
+        s.rngs.push(node_stream(self.seed, id.as_raw()));
         self.names.push(name.into());
         id
     }
 
-    /// Registers a symmetric link between two nodes.
+    /// Registers a symmetric link between two nodes. A cross-shard link
+    /// contributes its propagation delay to the epoch lookahead.
     ///
     /// # Panics
     ///
-    /// Panics if either id was not returned by [`add_node`](Self::add_node).
+    /// Panics if either id was not returned by [`add_node`](Self::add_node),
+    /// or if a cross-shard link has zero propagation delay (which would
+    /// collapse the lookahead to nothing).
     pub fn connect(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) {
-        assert!(a.index() < self.nodes.len(), "unknown node {a}");
-        assert!(b.index() < self.nodes.len(), "unknown node {b}");
+        assert!(a.index() < self.home_shard.len(), "unknown node {a}");
+        assert!(b.index() < self.home_shard.len(), "unknown node {b}");
+        if self.home_shard[a.index()] != self.home_shard[b.index()] {
+            let owd = spec.propagation_owd();
+            assert!(
+                owd > SimDuration::ZERO,
+                "cross-shard link {a} <-> {b} must have nonzero propagation delay: \
+                 it bounds the epoch lookahead"
+            );
+            self.min_cross_owd = Some(self.min_cross_owd.map_or(owd, |cur| cur.min(owd)));
+        }
         self.topology.connect(a, b, spec);
     }
 
     /// Injects a message from `from` to `to` at the current time, as if
-    /// `from` had sent it (link delays apply, loss does not — injected
-    /// messages always arrive). Useful to seed a run.
+    /// `from` had sent it (link delays apply, loss and faults do not —
+    /// injected messages always arrive). Useful to seed a run.
     ///
     /// Counts toward `net.messages`/`net.bytes` like any node-sent
     /// message, so traffic accounting is consistent however a message
@@ -736,36 +917,56 @@ impl<M: Message> World<M> {
     ///
     /// Panics if no link connects the two nodes.
     pub fn post(&mut self, from: NodeId, to: NodeId, msg: M) {
-        let link = self
+        let link = *self
             .topology
             .link(from, to)
             .unwrap_or_else(|| panic!("no link {from} -> {to}"));
-        let owd = link.sample_owd(msg.wire_size(), &mut self.rng);
-        self.metrics.incr_id(keys::id::NET_MESSAGES, 1);
-        self.metrics
-            .incr_id(keys::id::NET_BYTES, msg.wire_size() as u64);
-        let at = self.links.reserve(from, to, self.clock, self.clock + owd);
-        self.queue.push(
-            at,
-            EventKind::Deliver {
-                to,
-                from,
-                msg,
-                span: None,
-            },
-        );
+        let now = self.clock;
+        let src = &mut self.shards[self.home_shard[from.index()] as usize];
+        let key = src.keys.next_msg(now, from, to);
+        let wire = msg.wire_size();
+        let owd = link.sample_owd(wire, &mut KeyStream::new(self.seed, key));
+        src.metrics.incr_id(keys::id::NET_MESSAGES, 1);
+        src.metrics.incr_id(keys::id::NET_BYTES, wire as u64);
+        let at = src.links.reserve(from, to, now, now + owd);
+        let kind = EventKind::Deliver {
+            to,
+            from,
+            msg,
+            span: None,
+        };
+        self.shards[self.home_shard[to.index()] as usize]
+            .queue
+            .push(at, key, kind);
     }
 
     /// Arms a timer on `node` that fires after `delay`.
     pub fn schedule_timer(&mut self, node: NodeId, delay: SimDuration, token: TimerToken) {
-        self.queue.push(
-            self.clock + delay,
-            EventKind::Timer {
-                node,
-                token,
-                span: None,
-            },
-        );
+        let shard = &mut self.shards[self.home_shard[node.index()] as usize];
+        let key = shard.keys.next_timer(self.clock, node, token);
+        let kind = EventKind::Timer {
+            node,
+            token,
+            span: None,
+        };
+        shard.queue.push(self.clock + delay, key, kind);
+    }
+
+    /// Number of shards.
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// The shard owning a node.
+    pub fn shard_of(&self, id: NodeId) -> u32 {
+        self.home_shard[id.index()]
+    }
+
+    /// The epoch lookahead currently in force: the override if set, else
+    /// the minimum cross-shard propagation delay, else `None` (single
+    /// shard or no cross-shard link yet).
+    pub fn lookahead(&self) -> Option<SimDuration> {
+        self.lookahead_override.or(self.min_cross_owd)
     }
 
     /// Current simulation time.
@@ -773,9 +974,9 @@ impl<M: Message> World<M> {
         self.clock
     }
 
-    /// Number of registered nodes.
+    /// Number of registered nodes (across all shards).
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.home_shard.len()
     }
 
     /// The registered name of a node.
@@ -783,14 +984,33 @@ impl<M: Message> World<M> {
         &self.names[id.index()]
     }
 
-    /// Read access to the run's metrics.
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+    /// The run's metrics: the one registry of a one-shard world, borrowed;
+    /// on a split world, every shard's registry merged into an owned one
+    /// (counters add, histogram sample multisets union — all
+    /// order-insensitive).
+    pub fn metrics(&self) -> Cow<'_, Metrics> {
+        match self.shards.as_slice() {
+            [only] => Cow::Borrowed(&only.metrics),
+            [first, rest @ ..] => {
+                let mut merged = first.metrics.clone();
+                for shard in rest {
+                    merged.merge(&shard.metrics);
+                }
+                Cow::Owned(merged)
+            }
+            [] => unreachable!("a world has at least one shard"),
+        }
     }
 
-    /// Mutable access to the run's metrics (percentile queries sort lazily).
+    /// Mutable access to the run's metrics (percentile queries sort
+    /// lazily).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a split world, which has no single registry to hand out.
     pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
+        assert_eq!(self.shards.len(), 1, "metrics_mut needs a one-shard world");
+        &mut self.shards[0].metrics
     }
 
     /// Downcasts a node to its concrete type.
@@ -800,7 +1020,8 @@ impl<M: Message> World<M> {
     /// Panics if the id is unknown, the node is mid-dispatch, or the type
     /// does not match.
     pub fn node<T: 'static>(&self, id: NodeId) -> &T {
-        self.nodes[id.index()]
+        let shard = &self.shards[self.home_shard[id.index()] as usize];
+        shard.nodes[self.home_local[id.index()] as usize]
             .as_ref()
             .expect("node is mid-dispatch")
             .as_any()
@@ -814,7 +1035,8 @@ impl<M: Message> World<M> {
     ///
     /// Same conditions as [`node`](Self::node).
     pub fn node_mut<T: 'static>(&mut self, id: NodeId) -> &mut T {
-        self.nodes[id.index()]
+        let shard = &mut self.shards[self.home_shard[id.index()] as usize];
+        shard.nodes[self.home_local[id.index()] as usize]
             .as_mut()
             .expect("node is mid-dispatch")
             .as_any_mut()
@@ -822,100 +1044,223 @@ impl<M: Message> World<M> {
             .unwrap_or_else(|| panic!("node {id} is not a {}", std::any::type_name::<T>()))
     }
 
+    /// Events processed across all shards and `run_*` calls.
+    pub fn events_processed(&self) -> u64 {
+        self.shards.iter().map(|s| s.processed).sum()
+    }
+
+    /// Number of pending events across all shards.
+    pub fn pending_events(&self) -> usize {
+        self.shards.iter().map(|s| s.queue.len()).sum()
+    }
+
     fn start_if_needed(&mut self) {
         if self.started {
             return;
         }
         self.started = true;
-        for idx in 0..self.nodes.len() {
-            let id = NodeId::from_raw(idx as u32);
-            self.with_node(id, None, |node, ctx| node.on_start(ctx));
+        // on_start runs in global id order on the node's home shard; the
+        // resulting cross-shard sends are delivered before the first epoch.
+        // Its trace events carry the synthetic stamp key `node_raw << 40`,
+        // scrambled like every dispatch key under a perturbation.
+        let World {
+            shards,
+            topology,
+            faults,
+            home_shard,
+            home_local,
+            tie_perturbation,
+            ..
+        } = self;
+        let wiring = Wiring {
+            topology,
+            faults,
+            home_shard,
+            home_local,
+        };
+        for raw in 0..home_shard.len() {
+            let shard_idx = home_shard[raw];
+            let shard = &mut shards[shard_idx as usize];
+            if shard.trace.is_enabled() {
+                let key = (raw as u64) << 40;
+                let key = tie_perturbation.map_or(key, |pert| mix64(key ^ pert));
+                shard.trace.set_dispatch_stamp(SimTime::ZERO, key);
+            }
+            shard.dispatch(
+                home_local[raw] as usize,
+                SimTime::ZERO,
+                None,
+                wiring,
+                shard_idx,
+                |node, ctx| node.on_start(ctx),
+            );
         }
+        self.drain_mailboxes();
     }
 
-    fn with_node(
-        &mut self,
-        id: NodeId,
-        span: Option<SpanCtx>,
-        f: impl FnOnce(&mut dyn Node<M>, &mut Context<'_, M>),
-    ) {
+    /// Delivers every staged cross-shard event into its destination queue,
+    /// in shard order. Order of insertion is irrelevant to results — the
+    /// destination wheel orders on the canonical `(at, key)` — but fixing
+    /// it keeps the walk cache-friendly and the oracle's view simple.
+    fn drain_mailboxes(&mut self) {
         let t = self.prof.start();
-        let mut node = self.nodes[id.index()]
-            .take()
-            .unwrap_or_else(|| panic!("re-entrant dispatch on {id}"));
-        {
-            let mut ctx = Context {
-                now: self.clock,
-                self_id: id,
-                queue: &mut self.queue,
-                topology: &self.topology,
-                links: &mut self.links,
-                faults: &self.faults,
-                rng: &mut self.rng,
-                metrics: &mut self.metrics,
-                trace: &mut self.trace,
-                prof: &mut self.prof,
-                span,
-                route: None,
-            };
-            f(node.as_mut(), &mut ctx);
+        for src in 0..self.shards.len() {
+            if self.shards[src].outbox.is_empty() {
+                continue;
+            }
+            let mut staged = std::mem::take(&mut self.shards[src].outbox);
+            for ob in staged.drain(..) {
+                let dst = &mut self.shards[ob.dst_shard as usize];
+                if self.oracle {
+                    assert!(
+                        ob.at >= dst.drained_to,
+                        "shard oracle: mailbox delivery at {:?} into shard {} which already \
+                         processed up to {:?} — lookahead violated",
+                        ob.at,
+                        ob.dst_shard,
+                        dst.drained_to,
+                    );
+                }
+                dst.queue.push(ob.at, ob.key, ob.kind);
+            }
+            // Hand the (now empty) buffer back so the allocation is reused.
+            self.shards[src].outbox = staged;
         }
-        self.nodes[id.index()] = Some(node);
-        self.prof.record(ProfCategory::Dispatch, t);
+        self.prof.record(ProfCategory::MailboxDrain, t);
     }
 
-    /// Runs until the queue drains or the clock reaches `deadline`.
+    /// Runs until every queue drains or the clock reaches `deadline`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the world has more than one shard but no cross-shard link
+    /// (or [`override_lookahead`](Self::override_lookahead)): the epoch
+    /// lookahead would be undefined.
     pub fn run_until(&mut self, deadline: SimTime) -> RunReport {
         self.start_if_needed();
+        let lookahead = if self.shards.len() > 1 {
+            Some(self.lookahead().unwrap_or_else(|| {
+                panic!(
+                    "a {}-shard world needs at least one cross-shard link \
+                     (or override_lookahead) to define the epoch lookahead",
+                    self.shards.len()
+                )
+            }))
+        } else {
+            None
+        };
         let mut events = 0u64;
         loop {
-            let Some(next_at) = self.queue.peek_time() else {
+            // Epoch barrier: agree on the global window [start, horizon).
+            let t = self.prof.start();
+            let start = self
+                .shards
+                .iter_mut()
+                .filter_map(|s| s.queue.peek_time())
+                .min();
+            self.prof.record(ProfCategory::ShardBarrier, t);
+            let report = |reason, now| RunReport {
+                events,
+                reason,
+                now,
+            };
+            let Some(start) = start else {
                 // With a finite deadline, idle time still passes: advance the
                 // clock so sampling loops built on `run_for` stay aligned.
                 if deadline < SimTime::MAX {
                     self.clock = deadline;
                 }
-                return RunReport {
-                    events,
-                    reason: StopReason::Idle,
-                    now: self.clock,
-                };
+                return report(StopReason::Idle, self.clock);
             };
-            if next_at > deadline {
+            if start > deadline {
                 self.clock = deadline;
-                return RunReport {
-                    events,
-                    reason: StopReason::Deadline,
-                    now: self.clock,
-                };
+                return report(StopReason::Deadline, self.clock);
             }
             if events >= self.event_cap {
-                return RunReport {
-                    events,
-                    reason: StopReason::EventCap,
-                    now: self.clock,
-                };
+                return report(StopReason::EventCap, self.clock);
             }
-            let t = self.prof.start();
-            let ev = self.queue.pop().expect("peeked event vanished");
-            self.prof.record(ProfCategory::QueuePop, t);
-            self.clock = ev.at;
-            events += 1;
-            self.processed += 1;
-            match ev.kind {
-                EventKind::Deliver {
-                    to,
-                    from,
-                    msg,
-                    span,
-                } => {
-                    self.with_node(to, span, |node, ctx| node.on_message(ctx, from, msg));
-                }
-                EventKind::Timer { node, token, span } => {
-                    self.with_node(node, span, |n, ctx| n.on_timer(ctx, token));
-                }
+            let horizon = lookahead.map_or(SimTime::MAX, |l| start + l);
+            let (epoch_events, epoch_last) =
+                self.run_epoch(horizon, deadline, self.event_cap - events);
+            events += epoch_events;
+            if let Some(last) = epoch_last {
+                self.clock = self.clock.max(last);
             }
+            self.drain_mailboxes();
         }
+    }
+
+    /// Drains every shard over `[.., horizon) ∩ [.., deadline]`, at most
+    /// `budget` events each, on one thread or several. Returns total
+    /// events and the latest event time.
+    fn run_epoch(
+        &mut self,
+        horizon: SimTime,
+        deadline: SimTime,
+        budget: u64,
+    ) -> (u64, Option<SimTime>) {
+        let oracle = self.oracle;
+        let workers = self.threads.min(self.shards.len());
+        let World {
+            shards,
+            topology,
+            faults,
+            home_shard,
+            home_local,
+            prof,
+            ..
+        } = self;
+        let wiring = Wiring {
+            topology,
+            faults,
+            home_shard,
+            home_local,
+        };
+        let results: Vec<(u64, Option<SimTime>)> = if workers <= 1 {
+            shards
+                .iter_mut()
+                .enumerate()
+                .map(|(i, shard)| {
+                    shard.drain_epoch(horizon, deadline, budget, wiring, i as u32, oracle)
+                })
+                .collect()
+        } else {
+            // Scoped fan-out: shards are data-independent within an epoch
+            // (each touches only its own queue/nodes/buffers), so any
+            // partition of the shard vector over threads yields identical
+            // results; the coordinator's join is the barrier.
+            let t = prof.start();
+            let chunk = shards.len().div_ceil(workers);
+            let out = std::thread::scope(|scope| {
+                let handles: Vec<_> = shards
+                    .chunks_mut(chunk)
+                    .enumerate()
+                    .map(|(chunk_idx, chunk_shards)| {
+                        let base = chunk_idx * chunk;
+                        scope.spawn(move || {
+                            chunk_shards
+                                .iter_mut()
+                                .enumerate()
+                                .map(|(j, shard)| {
+                                    let idx = (base + j) as u32;
+                                    shard
+                                        .drain_epoch(horizon, deadline, budget, wiring, idx, oracle)
+                                })
+                                .collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("shard worker panicked"))
+                    .collect()
+            });
+            prof.record(ProfCategory::ShardBarrier, t);
+            out
+        };
+        let events = results.iter().map(|(e, _)| e).sum();
+        let last = results.iter().filter_map(|(_, at)| *at).max();
+        (events, last)
     }
 
     /// Runs for `span` of simulated time from the current clock.
@@ -924,14 +1269,9 @@ impl<M: Message> World<M> {
         self.run_until(deadline)
     }
 
-    /// Runs until the event queue is empty.
+    /// Runs until every event queue is empty.
     pub fn run_to_idle(&mut self) -> RunReport {
         self.run_until(SimTime::MAX)
-    }
-
-    /// Number of pending events.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
     }
 }
 
@@ -939,8 +1279,9 @@ impl<M: Message> std::fmt::Debug for World<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("World")
             .field("clock", &self.clock)
+            .field("shards", &self.shards.len())
             .field("nodes", &self.names)
-            .field("pending_events", &self.queue.len())
+            .field("pending_events", &self.pending_events())
             .finish()
     }
 }
@@ -993,6 +1334,49 @@ mod tests {
         let b = w.add_node("b", Counter::new());
         w.connect(a, b, LinkSpec::new(1, SimDuration::from_millis(1)));
         (w, a, b)
+    }
+
+    /// `InstantKeys` must mint exactly what a map of repeat counters,
+    /// cleared on every new instant, would — through a 30k-tuple burst at
+    /// one instant, the shrink after it, and a generation wrap.
+    #[test]
+    fn instant_keys_match_the_cleared_map_reference() {
+        let mut keys = InstantKeys::default();
+        let mut counts: std::collections::HashMap<(u64, u64, u64), u64> = Default::default();
+        let mut stamp = None;
+        let mut rng = SimRng::seed_from(3);
+        let mut now = SimTime::ZERO;
+        let mut wrapped = false;
+        for step in 0..200_000u32 {
+            if step > 30_000 && rng.chance(0.01) {
+                now += SimDuration::from_nanos(rng.uniform_u64(1, 1_000));
+            }
+            let domain = if rng.chance(0.5) {
+                MSG_DOMAIN
+            } else {
+                TIMER_DOMAIN
+            };
+            let a = rng.uniform_u64(0, 20);
+            let b = rng.uniform_u64(0, if step < 30_000 { 5_000 } else { 20 });
+            if stamp != Some(now) {
+                counts.clear();
+                stamp = Some(now);
+                if step >= 100_000 && !wrapped {
+                    // The next instant's generation bump wraps soon.
+                    keys.generation = u32::MAX - 3;
+                    wrapped = true;
+                }
+            }
+            let k = counts.entry((domain, a, b)).or_insert(0);
+            let expect = mix64(mix64(mix64(mix64(domain ^ now.as_nanos()) ^ a) ^ b) ^ *k);
+            *k += 1;
+            assert_eq!(keys.next(now, domain, a, b), expect, "step {step}");
+        }
+        assert!(
+            keys.slots.len() <= KEY_TABLE_SHRINK,
+            "the burst's table was never released: {} slots",
+            keys.slots.len()
+        );
     }
 
     #[test]
@@ -1308,12 +1692,13 @@ mod tests {
             events,
             vec![
                 ("fetch", TracePhase::Start, None),
-                ("serve", TracePhase::Start, Some(SpanId(0))),
+                // Span ids are node-keyed: the requester is node 1.
+                ("serve", TracePhase::Start, Some(SpanId(1 << 32))),
                 ("serve", TracePhase::End, None),
                 ("fetch", TracePhase::End, None),
             ]
         );
-        assert!(w.trace().events().all(|e| e.trace == TraceId(0)));
+        assert!(w.trace().events().all(|e| e.trace == TraceId(1 << 32)));
         assert_eq!(w.trace().dropped(), 0);
     }
 
@@ -1339,29 +1724,47 @@ mod tests {
                 self.roots.push(ctx.begin_trace("op"));
             }
         }
+        /// Begins a trace on start and sends two messages under it.
+        struct TwoSends {
+            peer: NodeId,
+            root: Option<SpanCtx>,
+        }
+        impl Node<Num> for TwoSends {
+            fn on_start(&mut self, ctx: &mut Context<'_, Num>) {
+                self.root = ctx.begin_trace("fetch");
+                ctx.send(self.peer, Num(0));
+                ctx.send(self.peer, Num(0));
+            }
+            fn on_message(&mut self, _: &mut Context<'_, Num>, _: NodeId, _: Num) {}
+        }
         let mut w = World::new(1);
         let sink = w.add_node("sink", PerMessage { roots: Vec::new() });
         let src = w.add_node(
             "src",
-            Requester {
-                peer: Some(sink),
+            TwoSends {
+                peer: sink,
                 root: None,
-                reply_had_ctx: false,
-                timer_had_ctx: false,
             },
         );
         w.connect(src, sink, LinkSpec::new(1, SimDuration::from_millis(1)));
-        // Sample every 2nd trace: src's root is trace 0, the sink's first
-        // op is sampled out but must NOT inherit src's context.
+        // Sample every 2nd trace of each node: src's root and the sink's
+        // first op are kept, the sink's second op is sampled out — and
+        // must NOT inherit src's context.
         w.set_trace_config(TraceConfig {
             enabled: true,
             sample_every: 2,
             ..TraceConfig::default()
         });
         w.run_to_idle();
+        let src_root = w.node::<TwoSends>(src).root.expect("src root is kept");
         let roots = &w.node::<PerMessage>(sink).roots;
-        assert_eq!(roots.len(), 1);
-        assert_eq!(roots[0], None, "sampled-out trace must clear the context");
+        assert_eq!(roots.len(), 2);
+        let first = roots[0].expect("sink's first op is kept");
+        assert_ne!(
+            first.trace, src_root.trace,
+            "a kept op starts its own trace"
+        );
+        assert_eq!(roots[1], None, "sampled-out trace must clear the context");
     }
 
     /// Order-insensitive sink: tallies arrivals, ignores who came first.

@@ -3,37 +3,12 @@
 //! The paper draws app usage from a Zipf distribution (§V-A, citing content
 //! demand studies): a few apps are used constantly, a long tail rarely.
 //!
-//! Two sampling backends are available through [`ZipfConfig`]:
-//!
-//! * [`ZipfMode::CumulativeScan`] (default) — the original inverse-CDF
-//!   binary search, `O(log n)` per draw. Its draw sequence for a given seed
-//!   is pinned by tests and must never change: every experiment artifact in
-//!   the repo was produced with it.
-//! * [`ZipfMode::Alias`] — a Vose alias table, `O(1)` per draw and `O(n)`
-//!   to build. Used by the million-client fleet benchmarks where sampling
-//!   is on the per-event hot path. It consumes exactly one RNG draw per
-//!   sample (same as the legacy path) but maps the draw differently, so it
-//!   is *statistically* equivalent, not stream-identical.
+//! [`ZipfSampler`] draws from a Vose alias table: `O(1)` per draw, `O(n)`
+//! to build, exactly one RNG draw per sample. The inverse-CDF scan it
+//! replaced survives as the distribution oracle in
+//! `tests/proptest_zipf.rs`.
 
 use ape_simnet::SimRng;
-
-/// Which sampling algorithm a [`ZipfSampler`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ZipfMode {
-    /// Inverse-CDF binary search over the cumulative weights (legacy,
-    /// seed-exact with all released artifacts).
-    #[default]
-    CumulativeScan,
-    /// Vose alias table: constant-time draws for hot-path sampling.
-    Alias,
-}
-
-/// Sampler construction options.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ZipfConfig {
-    /// Sampling backend. Defaults to the seed-exact legacy scan.
-    pub mode: ZipfMode,
-}
 
 /// One column of a Vose alias table: take `index` with probability
 /// `threshold` (scaled to the column), else take `alias`.
@@ -64,31 +39,17 @@ struct AliasColumn {
 pub struct ZipfSampler {
     /// Normalized per-index probabilities.
     weights: Vec<f64>,
-    /// Cumulative distribution for inverse sampling (legacy mode).
-    cumulative: Vec<f64>,
-    /// Alias table; built only in [`ZipfMode::Alias`].
+    /// Alias table over `weights`.
     alias: Vec<AliasColumn>,
-    /// Backend selected at construction.
-    mode: ZipfMode,
 }
 
 impl ZipfSampler {
-    /// Creates a sampler over `n` items with the given exponent, using the
-    /// default (legacy, seed-exact) backend.
+    /// Creates a sampler over `n` items with the given exponent.
     ///
     /// # Panics
     ///
     /// Panics if `n` is zero or `exponent` is negative/non-finite.
     pub fn new(n: usize, exponent: f64) -> Self {
-        Self::with_config(n, exponent, ZipfConfig::default())
-    }
-
-    /// Creates a sampler with an explicit backend choice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero or `exponent` is negative/non-finite.
-    pub fn with_config(n: usize, exponent: f64, config: ZipfConfig) -> Self {
         assert!(n > 0, "zipf needs at least one item");
         assert!(
             exponent.is_finite() && exponent >= 0.0,
@@ -99,26 +60,8 @@ impl ZipfSampler {
             .collect();
         let total: f64 = raw.iter().sum();
         let weights: Vec<f64> = raw.iter().map(|w| w / total).collect();
-        let mut cumulative = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for w in &weights {
-            acc += w;
-            cumulative.push(acc);
-        }
-        // Guard against floating-point shortfall at the top end.
-        if let Some(last) = cumulative.last_mut() {
-            *last = 1.0;
-        }
-        let alias = match config.mode {
-            ZipfMode::CumulativeScan => Vec::new(),
-            ZipfMode::Alias => build_alias_table(&weights),
-        };
-        ZipfSampler {
-            weights,
-            cumulative,
-            alias,
-            mode: config.mode,
-        }
+        let alias = build_alias_table(&weights);
+        ZipfSampler { weights, alias }
     }
 
     /// Number of items.
@@ -131,11 +74,6 @@ impl ZipfSampler {
         self.weights.is_empty()
     }
 
-    /// Backend this sampler was built with.
-    pub fn mode(&self) -> ZipfMode {
-        self.mode
-    }
-
     /// Probability mass of item `i`.
     ///
     /// # Panics
@@ -145,30 +83,12 @@ impl ZipfSampler {
         self.weights[i]
     }
 
-    /// Draws one index. Both backends consume exactly one RNG draw.
+    /// Draws one index from one RNG draw, in `O(1)`: the uniform draw is
+    /// split into a column index (integer part of `u * n`) and a coin
+    /// (fractional part); the two parts are independent because `u` is
+    /// uniform on `[0, 1)`.
     pub fn sample(&self, rng: &mut SimRng) -> usize {
         let u = rng.unit();
-        match self.mode {
-            ZipfMode::CumulativeScan => self.sample_scan(u),
-            ZipfMode::Alias => self.sample_alias(u),
-        }
-    }
-
-    /// Legacy inverse-CDF lookup: `O(log n)`.
-    fn sample_scan(&self, u: f64) -> usize {
-        match self
-            .cumulative
-            .binary_search_by(|c| c.partial_cmp(&u).expect("finite cumulative"))
-        {
-            Ok(i) => (i + 1).min(self.len() - 1),
-            Err(i) => i.min(self.len() - 1),
-        }
-    }
-
-    /// Alias-table lookup: `O(1)`. The single uniform draw is split into a
-    /// column index (integer part of `u * n`) and a coin (fractional part);
-    /// the two parts are independent because `u` is uniform on `[0, 1)`.
-    fn sample_alias(&self, u: f64) -> usize {
         let n = self.alias.len();
         let scaled = u * n as f64;
         let col = (scaled as usize).min(n - 1);
@@ -296,34 +216,9 @@ mod tests {
         let _ = ZipfSampler::new(3, -1.0);
     }
 
-    /// The legacy draw sequence is part of the repo's reproducibility
-    /// contract: BENCH/EXPERIMENT artifacts embed it via the schedule
-    /// generator. This golden pin fails if the default backend's mapping
-    /// from RNG stream to indices ever changes.
     #[test]
-    fn legacy_sequence_is_pinned() {
-        let z = ZipfSampler::new(12, 1.1);
-        let mut rng = SimRng::seed_from(0xC0FFEE);
-        let drawn: Vec<usize> = (0..16).map(|_| z.sample(&mut rng)).collect();
-        assert_eq!(
-            drawn,
-            vec![2, 6, 3, 1, 4, 0, 0, 8, 5, 0, 0, 7, 1, 11, 0, 0],
-            "legacy Zipf draw sequence changed — this breaks artifact reproducibility"
-        );
-    }
-
-    #[test]
-    fn default_config_is_legacy_scan() {
-        assert_eq!(ZipfConfig::default().mode, ZipfMode::CumulativeScan);
-        assert_eq!(ZipfSampler::new(3, 1.0).mode(), ZipfMode::CumulativeScan);
-    }
-
-    #[test]
-    fn alias_mode_stays_in_range_and_matches_bands() {
-        let cfg = ZipfConfig {
-            mode: ZipfMode::Alias,
-        };
-        let z = ZipfSampler::with_config(8, 0.9, cfg);
+    fn alias_draws_stay_in_range_and_match_bands() {
+        let z = ZipfSampler::new(8, 0.9);
         let mut rng = SimRng::seed_from(42);
         let n = 200_000;
         let mut counts = [0usize; 8];
@@ -346,13 +241,7 @@ mod tests {
     fn alias_table_mass_reconstructs_weights() {
         // Summing each column's contribution must reproduce the input
         // distribution: the alias transform is exact, not approximate.
-        let z = ZipfSampler::with_config(
-            17,
-            1.0,
-            ZipfConfig {
-                mode: ZipfMode::Alias,
-            },
-        );
+        let z = ZipfSampler::new(17, 1.0);
         let n = z.len();
         let mut mass = vec![0.0f64; n];
         for (col, entry) in z.alias.iter().enumerate() {
@@ -366,25 +255,5 @@ mod tests {
                 z.weight(i)
             );
         }
-    }
-
-    #[test]
-    fn both_backends_consume_one_draw_per_sample() {
-        let scan = ZipfSampler::new(6, 1.0);
-        let alias = ZipfSampler::with_config(
-            6,
-            1.0,
-            ZipfConfig {
-                mode: ZipfMode::Alias,
-            },
-        );
-        let mut a = SimRng::seed_from(7);
-        let mut b = SimRng::seed_from(7);
-        for _ in 0..64 {
-            let _ = scan.sample(&mut a);
-            let _ = alias.sample(&mut b);
-        }
-        // Same number of draws consumed → streams stay aligned.
-        assert_eq!(a.next_u64(), b.next_u64());
     }
 }

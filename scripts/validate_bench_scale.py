@@ -13,7 +13,10 @@ Checks, beyond well-formedness of the schema:
 * isolated cells never record peer hits (cooperation is the only source),
 * at every grid of 64+ APs the cooperative cell's AP-layer hit ratio
   strictly beats the isolated one — the acceptance criterion the bench
-  itself asserts before writing the artifact.
+  itself asserts before writing the artifact,
+* a full sweep records host nanoseconds per event at 16 and 256 APs
+  (`cost_growth`) within the 1.3x bound the bench asserts; a quick sweep
+  records `null`.
 
 The build environment has no package registry access, so this is a
 hand-rolled structural check rather than a jsonschema dependency.
@@ -25,6 +28,7 @@ import sys
 SCHEMA = "ape-bench/scale/v1"
 AP_SWEEP_FULL = (1, 16, 64, 256)
 AP_SWEEP_QUICK = (1, 16)
+COST_GROWTH_BOUND = 1.3
 ROAM_FULL = ("none", "low", "high")
 ROAM_QUICK = ("none", "high")
 
@@ -123,6 +127,17 @@ def main():
                     f"{coop['ap_layer_hit_ratio']} does not beat isolated "
                     f"{iso['ap_layer_hit_ratio']}"
                 )
+
+    cost = doc.get("cost_growth", "missing")
+    if quick:
+        if cost is not None:
+            fail(f"cost_growth: a quick sweep records null, got {cost!r}")
+    else:
+        if not isinstance(cost, dict) or cost.get("aps") != [16, 256]:
+            fail(f"cost_growth: expected the 16 vs 256 AP measurement, got {cost!r}")
+        small, large = cost["ns_per_event"]
+        if cost["bound"] != COST_GROWTH_BOUND or large > COST_GROWTH_BOUND * small:
+            fail(f"cost_growth: {large} ns/event at 256 APs vs {small} at 16 breaks the bound")
 
     print(
         f"validate_bench_scale: OK — {len(cells)} cells over grids "

@@ -17,8 +17,8 @@ use ape_proto::names;
 use ape_simnet::{FaultPlan, SimDuration, SimTime};
 use ape_workload::ScheduleConfig;
 use apecache::{
-    build_topology, collect_topology, synthetic_suite, System, TestbedConfig, Topology,
-    TopologyConfig,
+    build_topology_sharded, collect_topology_sharded, synthetic_suite, ShardedTopology, System,
+    TestbedConfig, TopologyConfig,
 };
 
 const RUN: SimDuration = SimDuration::from_mins(4);
@@ -83,7 +83,7 @@ impl Mix {
 /// Randomized plan over the grid's real links: four windows cycling
 /// through link-down, loss-burst and delay-spike across client↔home-AP,
 /// AP↔LDNS, AP↔edge and AP↔AP segments.
-fn random_plan(top: &Topology, plan_seed: u64) -> FaultPlan {
+fn random_plan(top: &ShardedTopology, plan_seed: u64) -> FaultPlan {
     let mut mix = Mix(plan_seed);
     let mut plan = FaultPlan::new();
     for i in 0..4u64 {
@@ -120,7 +120,7 @@ fn random_plan(top: &Topology, plan_seed: u64) -> FaultPlan {
 
 /// Pending-state entries that survived the grace period, across every
 /// client, every AP, and the LDNS. Empty means every map drained.
-fn undrained(top: &mut Topology) -> Vec<String> {
+fn undrained(top: &mut ShardedTopology) -> Vec<String> {
     let mut leftovers = Vec::new();
     for &client in &top.clients.clone() {
         let name = top.world.node_name(client).to_owned();
@@ -155,7 +155,7 @@ struct ChaosOutcome {
 
 fn run_chaos(plan_seed: Option<u64>, key: Option<u64>) -> ChaosOutcome {
     let cfg = config(31, key);
-    let mut top = build_topology(&cfg);
+    let mut top = build_topology_sharded(&cfg, 1);
     if let Some(plan_seed) = plan_seed {
         let plan = random_plan(&top, plan_seed);
         top.world.set_fault_plan(plan);
@@ -164,7 +164,7 @@ fn run_chaos(plan_seed: Option<u64>, key: Option<u64>) -> ChaosOutcome {
     let fingerprint = top.world.fingerprint().to_string();
     let leftovers = undrained(&mut top);
     let scheduled = top.scheduled as u64;
-    let result = collect_topology(cfg.base.system, &mut top);
+    let result = collect_topology_sharded(cfg.base.system, &mut top);
     ChaosOutcome {
         fingerprint,
         scheduled,
